@@ -3,6 +3,8 @@
    `dune exec bench/main.exe`, or one with e.g.
    `dune exec bench/main.exe -- fig2`. `--smoke` runs everything at
    tiny n/duration so `dune runtest` exercises the whole harness.
+   Every experiment prints its tables and writes a schema-checked
+   BENCH_<NAME>.json artifact (see [emit]).
    See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
    paper-vs-measured.
 
@@ -12,11 +14,6 @@
    an adapter, with no per-experiment code. *)
 
 let smoke = ref false
-
-(* --json additionally writes the figure experiments' data as
-   schema-stable BENCH_*.json artifacts (validated on write, see
-   [write_json]); the human-readable tables still print. *)
-let json = ref false
 
 let fig_ns () = if !smoke then [ 4 ] else [ 5; 10; 16; 31; 61; 100 ]
 
@@ -29,9 +26,18 @@ let sweep xs = if !smoke then List.filteri (fun i _ -> i < 2) xs else xs
 
 let small_n n = if !smoke then 4 else n
 
-let pct p r =
-  if Metrics.Recorder.is_empty r then Float.nan
-  else Metrics.Recorder.percentile p r
+(* The one way bench reads a recorder: an empty sample has no mean and
+   no percentile, so no table or artifact reports a number that
+   measured nothing. *)
+type stat = Mean | P of float
+
+let stat s r =
+  if Metrics.Recorder.is_empty r then None
+  else
+    Some
+      (match s with
+      | Mean -> Metrics.Recorder.mean r
+      | P p -> Metrics.Recorder.percentile p r)
 
 (* Wall-clock time of the *host* machine, used only to report how long
    each experiment takes to run and to measure simulator events/sec. It
@@ -80,44 +86,35 @@ let write_json ~file ~schema v =
       | Error e -> failwith (Printf.sprintf "%s: schema violation: %s" file e)));
   Printf.printf "[wrote %s]\n%!" file
 
-(* Per-phase summary of a result, shared by the LAT3R table and JSON. *)
-let phase_stats (r : Harness.Scenario.result) =
-  List.filter_map
-    (fun (label, rec_) ->
-      if Metrics.Recorder.is_empty rec_ then None
-      else
-        let sorted = Metrics.Recorder.sorted rec_ in
-        let mean, p50, p95, p99, _ = Metrics.Stats.summary_sorted sorted in
-        Some (label, Array.length sorted, mean, p50, p95, p99))
-    r.phases
+(* Every experiment is one declaration: a title and the artifact's
+   top-level members — scalar [field]s and named [section]s (a column
+   list over rows) or [single]s (one row). [emit] derives the printed
+   tables, BENCH_<NAME>.json and its schema from that one column list,
+   so the three cannot drift apart. *)
+let emit name ~title members =
+  let doc =
+    Metrics.Table.(
+      col "experiment" str (fun () -> String.lowercase_ascii name)
+      :: col "smoke" bool (fun () -> !smoke)
+      :: members)
+  in
+  Metrics.Table.print ~title doc [ () ];
+  write_json
+    ~file:("BENCH_" ^ name ^ ".json")
+    ~schema:(Metrics.Table.schema doc) (Metrics.Table.to_json doc ())
 
-let phases_json r =
-  Metrics.Json.List
-    (List.map
-       (fun (label, samples, mean, p50, p95, p99) ->
-         Metrics.Json.Obj
-           [
-             ("phase", Metrics.Json.Str label);
-             ("samples", Metrics.Json.Int samples);
-             ("mean_ms", Metrics.Json.num mean);
-             ("p50_ms", Metrics.Json.num p50);
-             ("p95_ms", Metrics.Json.num p95);
-             ("p99_ms", Metrics.Json.num p99);
-           ])
-       (phase_stats r))
+let field key kind v = Metrics.Table.col key kind (fun () -> v)
 
-let phases_schema =
-  Metrics.Json.(
-    List_of
-      (Obj_of
-         [
-           ("phase", Str_s);
-           ("samples", Int_s);
-           ("mean_ms", Nullable Num_s);
-           ("p50_ms", Nullable Num_s);
-           ("p95_ms", Nullable Num_s);
-           ("p99_ms", Nullable Num_s);
-         ]))
+let section key cols data =
+  Metrics.Table.col key (Metrics.Table.rows cols) (fun () -> data)
+
+let single key cols row =
+  Metrics.Table.col key (Metrics.Table.obj cols) (fun () -> row)
+
+(* Getters over a (parameter, run) row. *)
+let res f (_, (r : Harness.Scenario.result)) = f r
+
+let mean_latency row = res (fun r -> stat Mean r.latency_ms) row
 
 let check_safety label (r : Harness.Scenario.result) =
   if not (r.prefix_safe && r.late_accepts = 0) then
@@ -131,24 +128,28 @@ let check_safety label (r : Harness.Scenario.result) =
 
 let fig1 () =
   let trials = scale_trials 10 in
-  let row protocol =
-    let o = Attacks.Frontrun.run ~trials ~protocol () in
-    [
-      protocol;
-      string_of_int o.trials;
-      string_of_int o.observed;
-      string_of_int o.launched;
-      string_of_int o.succeeded;
-      Printf.sprintf "%.1f" o.victim_first_gap_ms;
-    ]
-  in
-  Metrics.Table.print
+  let outcome f (_, (o : Attacks.Frontrun.outcome)) = f o in
+  emit "FIG1"
     ~title:
       "FIG1  front-running via triangle-inequality violation (Tokyo victim, \
        Singapore attacker, Sydney quorum)"
-    ~header:
-      [ "protocol"; "trials"; "observed"; "launched"; "front-run ok"; "seq gap ms" ]
-    (List.map row Attacks.Frontrun.protocols)
+    [
+      field "trials" Metrics.Table.int trials;
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str fst;
+            col "trials" int (outcome (fun o -> o.trials));
+            col "observed" int (outcome (fun o -> o.observed));
+            col "launched" int (outcome (fun o -> o.launched));
+            col "succeeded" int (outcome (fun o -> o.succeeded));
+            col "victim_first_gap_ms" (num 1)
+              (outcome (fun o -> o.victim_first_gap_ms));
+          ]
+        (List.map
+           (fun protocol -> (protocol, Attacks.Frontrun.run ~trials ~protocol ()))
+           Attacks.Frontrun.protocols);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* FIG2 — commit latency vs n (closed-loop clients, light load).       *)
@@ -238,70 +239,33 @@ let fig2 () =
         in
         let lyra_mean =
           match results with
-          | r :: _ -> Metrics.Recorder.mean r.latency_ms
-          | [] -> Float.nan
+          | r :: _ -> stat Mean r.latency_ms
+          | [] -> None
         in
-        List.map (fun r -> (n, lyra_mean, r)) results)
+        List.map (fun r -> ((n, lyra_mean), r)) results)
       ns
   in
-  Metrics.Table.print
+  emit "FIG2"
     ~title:
       "FIG2  commit latency vs n (ms; paper: Lyra < 1 s, ~2x lower than \
        Pompe at n > 60)"
-    ~header:[ "n"; "protocol"; "mean ms"; "p50 ms"; "vs lyra" ]
-    (List.map
-       (fun (n, lyra_mean, (r : Harness.Scenario.result)) ->
-         [
-           string_of_int n;
-           r.protocol;
-           Printf.sprintf "%.0f" (Metrics.Recorder.mean r.latency_ms);
-           Printf.sprintf "%.0f" (pct 50.0 r.latency_ms);
-           Printf.sprintf "%.2f" (Metrics.Recorder.mean r.latency_ms /. lyra_mean);
-         ])
-       data);
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_FIG2.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ( "rows",
-               List_of
-                 (Obj_of
-                    [
-                      ("n", Int_s);
-                      ("protocol", Str_s);
-                      ("mean_ms", Nullable Num_s);
-                      ("p50_ms", Nullable Num_s);
-                      ("vs_lyra", Nullable Num_s);
-                      ("throughput_tps", Nullable Num_s);
-                      ("committed_txs", Int_s);
-                    ]) );
-           ])
-      (Obj
-         [
-           ("experiment", Str "fig2");
-           ("smoke", Bool !smoke);
-           ( "rows",
-             List
-               (List.map
-                  (fun (n, lyra_mean, (r : Harness.Scenario.result)) ->
-                    Obj
-                      [
-                        ("n", Int n);
-                        ("protocol", Str r.protocol);
-                        ("mean_ms", num (Metrics.Recorder.mean r.latency_ms));
-                        ("p50_ms", num (pct 50.0 r.latency_ms));
-                        ( "vs_lyra",
-                          num (Metrics.Recorder.mean r.latency_ms /. lyra_mean)
-                        );
-                        ("throughput_tps", num r.throughput_tps);
-                        ("committed_txs", Int r.committed_txs);
-                      ])
-                  data) );
-         ])
+    [
+      section "rows"
+        Metrics.Table.
+          [
+            col "n" int (fun ((n, _), _) -> n);
+            col "protocol" str (res (fun r -> r.protocol));
+            col "mean_ms" (opt (num 0)) mean_latency;
+            col "p50_ms" (opt (num 0)) (res (fun r -> stat (P 50.0) r.latency_ms));
+            col "vs_lyra" (opt (num 2)) (fun (((_, lyra_mean), _) as row) ->
+                match (mean_latency row, lyra_mean) with
+                | Some mean, Some lyra -> Some (mean /. lyra)
+                | _ -> None);
+            col "throughput_tps" (num 0) (res (fun r -> r.throughput_tps));
+            col "committed_txs" int (res (fun r -> r.committed_txs));
+          ]
+        data;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* FIG3 — throughput vs n.                                             *)
@@ -362,64 +326,28 @@ let fig3 () =
         let lyra_tps =
           match results with r :: _ -> r.throughput_tps | [] -> Float.nan
         in
-        List.map (fun r -> (n, lyra_tps, r)) results)
+        List.map (fun r -> ((n, lyra_tps), r)) results)
       (fig_ns ())
   in
-  Metrics.Table.print
+  emit "FIG3"
     ~title:
       "FIG3  throughput vs n (tx/s; paper: Pompe ahead below ~20-30 nodes, \
        Lyra scales to ~240k at n=100, ~7x Pompe)"
-    ~header:[ "n"; "protocol"; "tx/s"; "lyra/this" ]
-    (List.map
-       (fun (n, lyra_tps, (r : Harness.Scenario.result)) ->
-         [
-           string_of_int n;
-           r.protocol;
-           Printf.sprintf "%.0f" r.throughput_tps;
-           Printf.sprintf "%.2f" (lyra_tps /. r.throughput_tps);
-         ])
-       data);
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_FIG3.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ( "rows",
-               List_of
-                 (Obj_of
-                    [
-                      ("n", Int_s);
-                      ("protocol", Str_s);
-                      ("throughput_tps", Nullable Num_s);
-                      ("lyra_ratio", Nullable Num_s);
-                      ("committed_txs", Int_s);
-                      ("messages", Int_s);
-                      ("bytes", Int_s);
-                    ]) );
-           ])
-      (Obj
-         [
-           ("experiment", Str "fig3");
-           ("smoke", Bool !smoke);
-           ( "rows",
-             List
-               (List.map
-                  (fun (n, lyra_tps, (r : Harness.Scenario.result)) ->
-                    Obj
-                      [
-                        ("n", Int n);
-                        ("protocol", Str r.protocol);
-                        ("throughput_tps", num r.throughput_tps);
-                        ("lyra_ratio", num (lyra_tps /. r.throughput_tps));
-                        ("committed_txs", Int r.committed_txs);
-                        ("messages", Int r.messages);
-                        ("bytes", Int r.bytes);
-                      ])
-                  data) );
-         ])
+    [
+      section "rows"
+        Metrics.Table.
+          [
+            col "n" int (fun ((n, _), _) -> n);
+            col "protocol" str (res (fun r -> r.protocol));
+            col "throughput_tps" (num 0) (res (fun r -> r.throughput_tps));
+            col "lyra_ratio" (num 2) (fun ((_, lyra_tps), r) ->
+                lyra_tps /. r.Harness.Scenario.throughput_tps);
+            col "committed_txs" int (res (fun r -> r.committed_txs));
+            col "messages" int (res (fun r -> r.messages));
+            col "bytes" int (res (fun r -> r.bytes));
+          ]
+        data;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* LAT3R — good-case latency is 3 message delays (Thm 3; Pompe: 11).   *)
@@ -445,90 +373,46 @@ let rounds () =
         regions)
     regions;
   let delta_ms = float_of_int !total /. float_of_int !cnt /. 1000. in
-  let metric name f = name :: List.map f results in
-  Metrics.Table.print
+  let mean (r : Harness.Scenario.result) = stat Mean r.latency_ms in
+  (* The phases are the latency anatomy behind those totals: Lyra's
+     boc_decide row is Thm 3's claim in the data — mean ≈ 3 one-way
+     delays. *)
+  emit "LAT3R"
     ~title:
       "LAT3R  good-case round complexity (BOC decides in round 1 = 3 message \
-       delays, Thm 3)"
-    ~header:("metric" :: List.map (fun (r : Harness.Scenario.result) -> r.protocol) results)
+       delays, Thm 3; phases: own batches, ms)"
     [
-      metric "mean decide round" (fun r ->
-          if String.equal r.protocol "lyra" then
-            Printf.sprintf "%.3f" r.decide_rounds
-          else "-");
-      metric "commit latency ms (mean)" (fun r ->
-          Printf.sprintf "%.0f" (Metrics.Recorder.mean r.latency_ms));
-      metric "mean one-way delay ms" (fun _ -> Printf.sprintf "%.1f" delta_ms);
-      metric "end-to-end latency in delays" (fun r ->
-          Printf.sprintf "%.1f" (Metrics.Recorder.mean r.latency_ms /. delta_ms));
+      field "n" Metrics.Table.int n;
+      field "mean_one_way_delay_ms" (Metrics.Table.num 1) delta_ms;
+      section "protocols"
+        Metrics.Table.
+          [
+            col "protocol" str (fun (r : Harness.Scenario.result) -> r.protocol);
+            col "decide_rounds_mean" (opt (num 3))
+              (fun (r : Harness.Scenario.result) ->
+                if r.decide_rounds > 0. then Some r.decide_rounds else None);
+            col "latency_ms_mean" (opt (num 0)) mean;
+            col "latency_in_delays" (opt (num 1)) (fun r ->
+                Option.map (fun m -> m /. delta_ms) (mean r));
+            col "phases" (rows Harness.Scenario.phase_columns)
+              (fun (r : Harness.Scenario.result) -> r.phases);
+          ]
+        results;
     ];
-  (* The latency anatomy behind those totals: Lyra's boc_decide row is
-     Thm 3's claim in the data — mean ≈ 3 one-way delays. *)
-  List.iter
-    (fun (r : Harness.Scenario.result) ->
-      Printf.printf "\nLAT3R phases  %s n=%d (own batches, ms)\n%s%!" r.protocol
-        r.n
-        (Harness.Scenario.phase_table r))
-    results;
-  (match
-     List.find_opt
-       (fun (r : Harness.Scenario.result) -> String.equal r.protocol "lyra")
-       results
-   with
+  match
+    List.find_opt
+      (fun (r : Harness.Scenario.result) -> String.equal r.protocol "lyra")
+      results
+  with
   | Some r -> (
-      match List.assoc_opt "boc_decide" r.phases with
-      | Some rec_ when not (Metrics.Recorder.is_empty rec_) ->
+      match Option.bind (List.assoc_opt "boc_decide" r.phases) (stat Mean) with
+      | Some boc ->
           Printf.printf
             "\nLAT3R check  lyra boc_decide mean = %.1f ms = %.2f one-way \
              delays (Thm 3: 3)\n%!"
-            (Metrics.Recorder.mean rec_)
-            (Metrics.Recorder.mean rec_ /. delta_ms)
-      | _ -> ())
-  | None -> ());
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_LAT3R.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ("n", Int_s);
-             ("mean_one_way_delay_ms", Num_s);
-             ( "protocols",
-               List_of
-                 (Obj_of
-                    [
-                      ("protocol", Str_s);
-                      ("decide_rounds_mean", Nullable Num_s);
-                      ("latency_ms_mean", Nullable Num_s);
-                      ("latency_in_delays", Nullable Num_s);
-                      ("phases", phases_schema);
-                    ]) );
-           ])
-      (Obj
-         [
-           ("experiment", Str "lat3r");
-           ("smoke", Bool !smoke);
-           ("n", Int n);
-           ("mean_one_way_delay_ms", num delta_ms);
-           ( "protocols",
-             List
-               (List.map
-                  (fun (r : Harness.Scenario.result) ->
-                    Obj
-                      [
-                        ("protocol", Str r.protocol);
-                        ("decide_rounds_mean", num r.decide_rounds);
-                        ( "latency_ms_mean",
-                          num (Metrics.Recorder.mean r.latency_ms) );
-                        ( "latency_in_delays",
-                          num (Metrics.Recorder.mean r.latency_ms /. delta_ms)
-                        );
-                        ("phases", phases_json r);
-                      ])
-                  results) );
-         ])
+            boc (boc /. delta_ms)
+      | None -> ())
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* LAMBDA — security-parameter sweep (§VI-B: λ = 5 ms suffices).       *)
@@ -536,31 +420,34 @@ let rounds () =
 
 let lambda () =
   let n = small_n 16 in
-  let rows =
+  let runs =
     List.map
       (fun lambda_ms ->
-        let r =
+        ( lambda_ms,
           Harness.Scenario.run
             (Protocol.Lyra_adapter.make
                ~tweak:(fun c -> { c with Lyra.Config.lambda_us = lambda_ms * 1000 })
                ())
             ~n ~load:(Harness.Scenario.Closed 2)
-            ~duration_us:(scale_dur 3_000_000) ()
-        in
-        [
-          string_of_int lambda_ms;
-          Printf.sprintf "%.3f" r.accept_rate;
-          Printf.sprintf "%.0f" r.throughput_tps;
-          Printf.sprintf "%.0f" (Metrics.Recorder.mean r.latency_ms);
-        ])
+            ~duration_us:(scale_dur 3_000_000) () ))
       (sweep [ 1; 2; 5; 10; 20; 50 ])
   in
-  Metrics.Table.print
+  emit "LAMBDA"
     ~title:
       "LAMBDA  security parameter sweep at n=16 (paper: 5 ms without \
        performance loss)"
-    ~header:[ "lambda ms"; "accept rate"; "tx/s"; "latency ms" ]
-    rows
+    [
+      field "n" Metrics.Table.int n;
+      section "rows"
+        Metrics.Table.
+          [
+            col "lambda_ms" int fst;
+            col "accept_rate" (num 3) (res (fun r -> r.accept_rate));
+            col "throughput_tps" (num 0) (res (fun r -> r.throughput_tps));
+            col "latency_ms_mean" (opt (num 0)) mean_latency;
+          ]
+        runs;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* BATCH — batch-size sweep (§VI-B: 800 maximizes throughput).         *)
@@ -568,10 +455,10 @@ let lambda () =
 
 let batch () =
   let n = small_n 16 in
-  let rows =
+  let runs =
     List.map
       (fun bs ->
-        let r =
+        ( bs,
           Harness.Scenario.run
             (Protocol.Lyra_adapter.make
                ~tweak:(fun c ->
@@ -584,20 +471,23 @@ let batch () =
                ())
             ~n
             ~load:(Harness.Scenario.Open_rate (if !smoke then 800.0 else 4_000.0))
-            ~duration_us:(scale_dur 3_000_000) ()
-        in
-        [
-          string_of_int bs;
-          Printf.sprintf "%.0f" r.throughput_tps;
-          Printf.sprintf "%.0f" (Metrics.Recorder.mean r.latency_ms);
-          Printf.sprintf "%.0f" (pct 95.0 r.latency_ms);
-        ])
+            ~duration_us:(scale_dur 3_000_000) () ))
       (sweep [ 100; 200; 400; 800; 1600; 3200 ])
   in
-  Metrics.Table.print
-    ~title:"BATCH  batch-size sweep at n=16, 4k tx/s per node offered"
-    ~header:[ "batch"; "tx/s"; "latency ms"; "p95 ms" ]
-    rows
+  emit "BATCH" ~title:"BATCH  batch-size sweep at n=16, 4k tx/s per node offered"
+    [
+      field "n" Metrics.Table.int n;
+      section "rows"
+        Metrics.Table.
+          [
+            col "batch_size" int fst;
+            col "throughput_tps" (num 0) (res (fun r -> r.throughput_tps));
+            col "latency_ms_mean" (opt (num 0)) mean_latency;
+            col "latency_ms_p95" (opt (num 0))
+              (res (fun r -> stat (P 95.0) r.latency_ms));
+          ]
+        runs;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* BYZ — Byzantine behaviours (§VI-D).                                 *)
@@ -606,46 +496,50 @@ let batch () =
 let byz () =
   let n = small_n 16 in
   let fmax = Dbft.Quorums.max_faulty n in
-  let run name mis =
-    let r =
+  let run (name, mis) =
+    ( name,
       Harness.Scenario.run
         (Protocol.Lyra_adapter.make
            ~byz:(fun i -> if i < fmax then mis else None)
            ())
         ~n ~load:(Harness.Scenario.Closed 2)
-        ~duration_us:(scale_dur 3_000_000) ()
-    in
-    [
-      name;
-      Printf.sprintf "%.0f" r.throughput_tps;
-      Printf.sprintf "%.0f" (Metrics.Recorder.mean r.latency_ms);
-      Printf.sprintf "%.3f" r.accept_rate;
-      string_of_bool r.prefix_safe;
-    ]
+        ~duration_us:(scale_dur 3_000_000) () )
   in
-  Metrics.Table.print
+  emit "BYZ"
     ~title:
       (Printf.sprintf
          "BYZ  Lyra under f=%d Byzantine nodes at n=%d (safety must hold; \
           liveness degrades gracefully)"
          fmax n)
-    ~header:[ "behaviour"; "tx/s"; "latency ms"; "accept rate"; "prefix safe" ]
-    (List.map
-       (fun (name, mis) -> run name mis)
-       (sweep
+    [
+      field "n" Metrics.Table.int n;
+      field "f" Metrics.Table.int fmax;
+      section "rows"
+        Metrics.Table.
           [
-            ("none", None);
-            ("silent", Some Lyra.Misbehavior.Silent);
-            ("flood 4/s", Some (Lyra.Misbehavior.Flood { batches_per_sec = 4 }));
-            ( "future-seq +3ms",
-              Some (Lyra.Misbehavior.Future_seq { offset_us = 3_000 }) );
-            ( "future-seq +40ms",
-              Some (Lyra.Misbehavior.Future_seq { offset_us = 40_000 }) );
-            ("low-status", Some Lyra.Misbehavior.Low_status);
-            ("equivocate", Some Lyra.Misbehavior.Equivocate);
-            ( "stale-votes 1s",
-              Some (Lyra.Misbehavior.Stale_votes { delay_us = 1_000_000 }) );
-          ]))
+            col "behaviour" str fst;
+            col "throughput_tps" (num 0) (res (fun r -> r.throughput_tps));
+            col "latency_ms_mean" (opt (num 0)) mean_latency;
+            col "accept_rate" (num 3) (res (fun r -> r.accept_rate));
+            col "prefix_safe" bool (res (fun r -> r.prefix_safe));
+          ]
+        (List.map run
+           (sweep
+              [
+                ("none", None);
+                ("silent", Some Lyra.Misbehavior.Silent);
+                ( "flood 4/s",
+                  Some (Lyra.Misbehavior.Flood { batches_per_sec = 4 }) );
+                ( "future-seq +3ms",
+                  Some (Lyra.Misbehavior.Future_seq { offset_us = 3_000 }) );
+                ( "future-seq +40ms",
+                  Some (Lyra.Misbehavior.Future_seq { offset_us = 40_000 }) );
+                ("low-status", Some Lyra.Misbehavior.Low_status);
+                ("equivocate", Some Lyra.Misbehavior.Equivocate);
+                ( "stale-votes 1s",
+                  Some (Lyra.Misbehavior.Stale_votes { delay_us = 1_000_000 }) );
+              ]));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* MEV — sandwich extraction on the AMM (§V-E).                        *)
@@ -653,32 +547,31 @@ let byz () =
 
 let mev () =
   let trials = scale_trials 5 in
-  let row protocol =
-    let o = Attacks.Sandwich.run ~trials ~protocol () in
-    [
-      protocol;
-      string_of_int o.launched;
-      Printf.sprintf "%.0f" o.attacker_profit_x;
-      Printf.sprintf "%.0f" o.victim_out_mean;
-      Printf.sprintf "%.0f" o.victim_out_baseline;
-      Printf.sprintf "%.1f%%"
-        (100.
-        *. (o.victim_out_baseline -. o.victim_out_mean)
-        /. o.victim_out_baseline);
-    ]
-  in
-  Metrics.Table.print
+  let outcome f (_, (o : Attacks.Sandwich.outcome)) = f o in
+  emit "MEV"
     ~title:"MEV  sandwich attack on a constant-product AMM (victim swap 500k X)"
-    ~header:
-      [
-        "protocol";
-        "launched";
-        "attacker profit X";
-        "victim out Y";
-        "baseline Y";
-        "victim loss";
-      ]
-    (List.map row Attacks.Sandwich.protocols)
+    [
+      field "trials" Metrics.Table.int trials;
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str fst;
+            col "launched" int (outcome (fun o -> o.launched));
+            col "attacker_profit_x" (num 0)
+              (outcome (fun o -> o.attacker_profit_x));
+            col "victim_out_mean" (num 0) (outcome (fun o -> o.victim_out_mean));
+            col "victim_out_baseline" (num 0)
+              (outcome (fun o -> o.victim_out_baseline));
+            col "victim_loss_pct" (num 1)
+              (outcome (fun o ->
+                   100.
+                   *. (o.victim_out_baseline -. o.victim_out_mean)
+                   /. o.victim_out_baseline));
+          ]
+        (List.map
+           (fun protocol -> (protocol, Attacks.Sandwich.run ~trials ~protocol ()))
+           Attacks.Sandwich.protocols);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* FAIRNESS — the receive-order fairness scorecard (docs/FAIRNESS.md). *)
@@ -742,7 +635,7 @@ let fairness () =
         };
       ]
   in
-  let rows =
+  let runs =
     List.concat_map
       (fun (name, ((module P : Protocol.NODE) as p)) ->
         let dur = scale_dur 3_000_000 + extra name in
@@ -785,77 +678,38 @@ let fairness () =
     | Some f -> f
     | None -> failwith ("fairness: no report for " ^ r.protocol)
   in
-  let gamma_cell (f : Fairness.report) =
-    String.concat " "
-      (List.map
-         (fun (g : Fairness.gamma_row) ->
-           Printf.sprintf "%.1f:%d" g.gamma g.violations)
-         f.gamma_rows)
+  let summary (f : Fairness.report) =
+    Printf.sprintf "inv %d/%d = %.4f  gamma %s  frontrun %s" f.inversions
+      f.pairs f.inversion_rate
+      (String.concat " "
+         (List.map
+            (fun (g : Fairness.gamma_row) ->
+              Printf.sprintf "%.1f:%d" g.gamma g.violations)
+            f.gamma_rows))
+      (match f.frontrun_success with
+      | None -> "-"
+      | Some s -> Printf.sprintf "%.2f" s)
   in
-  Metrics.Table.print
+  emit "FAIRNESS"
     ~title:
       (Printf.sprintf
          "FAIRNESS  receive-order fairness per protocol and scenario (n=%d; \
           inversion rate: timestamp-ordered protocols should dominate)"
          n)
-    ~header:
-      [
-        "protocol"; "scenario"; "committed"; "pairs"; "inversions"; "inv rate";
-        "gamma viol"; "frontrun ok";
-      ]
-    (List.map
-       (fun (scenario, (r : Harness.Scenario.result)) ->
-         let f = report r in
-         [
-           r.protocol;
-           scenario;
-           string_of_int r.committed_txs;
-           string_of_int f.pairs;
-           string_of_int f.inversions;
-           Printf.sprintf "%.4f" f.inversion_rate;
-           gamma_cell f;
-           (match f.frontrun_success with
-           | None -> "-"
-           | Some s -> Printf.sprintf "%.2f" s);
-         ])
-       rows);
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_FAIRNESS.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ("n", Int_s);
-             ( "rows",
-               List_of
-                 (Obj_of
-                    [
-                      ("protocol", Str_s);
-                      ("scenario", Str_s);
-                      ("committed_txs", Int_s);
-                      ("fairness", Fairness.schema);
-                    ]) );
-           ])
-      (Obj
-         [
-           ("experiment", Str "fairness");
-           ("smoke", Bool !smoke);
-           ("n", Int n);
-           ( "rows",
-             List
-               (List.map
-                  (fun (scenario, (r : Harness.Scenario.result)) ->
-                    Obj
-                      [
-                        ("protocol", Str r.protocol);
-                        ("scenario", Str scenario);
-                        ("committed_txs", Int r.committed_txs);
-                        ("fairness", Fairness.to_json (report r));
-                      ])
-                  rows) );
-         ])
+    [
+      field "n" Metrics.Table.int n;
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str (res (fun r -> r.protocol));
+            col "scenario" str fst;
+            col "committed_txs" int (res (fun r -> r.committed_txs));
+            col "fairness"
+              (json ~cell:summary Fairness.schema Fairness.to_json)
+              (res report);
+          ]
+        runs;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* WORKLOAD — the open-loop workload engine: a million modelled        *)
@@ -938,21 +792,6 @@ let workload_selfcheck () =
 
 let workload () =
   let clients, sc_submitted, sc_committed, sc_rec = workload_selfcheck () in
-  Metrics.Table.print
-    ~title:
-      "WORKLOAD  scale self-check (open-loop engine vs echo sink; streaming \
-       recorder must engage)"
-    ~header:
-      [ "modelled clients"; "submitted"; "committed"; "streaming"; "retained" ]
-    [
-      [
-        string_of_int clients;
-        string_of_int sc_submitted;
-        string_of_int sc_committed;
-        string_of_bool (Metrics.Recorder.is_streaming sc_rec);
-        string_of_int (Metrics.Recorder.retained_samples sc_rec);
-      ];
-    ];
   (* Part 2: the protocol scorecard. A flash-crowd KV stream (hot-key
      Zipf skew) plus an AMM user stream raced by seeded searchers run
      through every protocol; the committed order is replayed to price
@@ -1025,149 +864,63 @@ let workload () =
         r)
       (Protocol.Registry.all ())
   in
-  Metrics.Table.print
+  (* Read once, after every run, so the table and the artifact agree. *)
+  let rss = peak_rss_kb () in
+  let stream f (_, (s : Workload.Engine.stream_summary)) = f s in
+  let mev f (_, (m : Workload.Engine.mev)) = f m in
+  emit "WORKLOAD"
     ~title:
       (Printf.sprintf
-         "WORKLOAD  flash-crowd + hot-key + AMM flows, per protocol (n=%d)" n)
-    ~header:
-      [ "protocol"; "stream"; "clients"; "submitted"; "committed"; "p50 ms"; "p99 ms" ]
-    (List.concat_map
-       (fun (r : Harness.Scenario.result) ->
-         List.map
-           (fun (s : Workload.Engine.stream_summary) ->
-             [
-               r.protocol;
-               s.s_name;
-               string_of_int s.s_clients;
-               string_of_int s.s_submitted;
-               string_of_int s.s_committed;
-               Printf.sprintf "%.0f" (s.s_lat_p50_us /. 1000.);
-               Printf.sprintf "%.0f" (s.s_lat_p99_us /. 1000.);
-             ])
-           r.workload_streams)
-       results);
-  Metrics.Table.print
-    ~title:
-      "WORKLOAD/MEV  searcher extraction from the committed order (replayed; \
-       fair ordering should crush it)"
-    ~header:
-      [
-        "protocol";
-        "user swaps";
-        "searcher swaps";
-        "extracted Y";
-        "victim slippage Y";
-      ]
-    (List.map
-       (fun (r : Harness.Scenario.result) ->
-         match r.mev with
-         | None -> [ r.protocol; "-"; "-"; "-"; "-" ]
-         | Some m ->
-             [
-               r.protocol;
-               string_of_int m.Workload.Engine.user_swaps;
-               string_of_int m.Workload.Engine.searcher_swaps;
-               Printf.sprintf "%.0f" m.Workload.Engine.extracted_value_y;
-               string_of_int m.Workload.Engine.victim_slippage_y;
-             ])
-       results);
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_WORKLOAD.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ( "selfcheck",
-               Obj_of
-                 [
-                   ("modelled_clients", Int_s);
-                   ("submitted", Int_s);
-                   ("committed", Int_s);
-                   ("streaming", Bool_s);
-                   ("retained_samples", Int_s);
-                   ("latency_cap", Int_s);
-                   ("peak_rss_kb", Int_s);
-                 ] );
-             ( "rows",
-               List_of
-                 (Obj_of
-                    [
-                      ("protocol", Str_s);
-                      ("stream", Str_s);
-                      ("clients", Int_s);
-                      ("submitted", Int_s);
-                      ("committed", Int_s);
-                      ("lat_p50_ms", Nullable Num_s);
-                      ("lat_p99_ms", Nullable Num_s);
-                      ("streaming", Bool_s);
-                    ]) );
-             ( "mev",
-               List_of
-                 (Obj_of
-                    [
-                      ("protocol", Str_s);
-                      ("user_swaps", Int_s);
-                      ("searcher_swaps", Int_s);
-                      ("extracted_value_y", Nullable Num_s);
-                      ("victim_slippage_y", Int_s);
-                      ("final_price_x_micro", Int_s);
-                    ]) );
-           ])
-      (Obj
-         [
-           ("experiment", Str "workload");
-           ("smoke", Bool !smoke);
-           ( "selfcheck",
-             Obj
-               [
-                 ("modelled_clients", Int clients);
-                 ("submitted", Int sc_submitted);
-                 ("committed", Int sc_committed);
-                 ("streaming", Bool (Metrics.Recorder.is_streaming sc_rec));
-                 ( "retained_samples",
-                   Int (Metrics.Recorder.retained_samples sc_rec) );
-                 ("latency_cap", Int Workload.Engine.default_latency_cap);
-                 ("peak_rss_kb", Int (peak_rss_kb ()));
-               ] );
-           ( "rows",
-             List
-               (List.concat_map
-                  (fun (r : Harness.Scenario.result) ->
-                    List.map
-                      (fun (s : Workload.Engine.stream_summary) ->
-                        Obj
-                          [
-                            ("protocol", Str r.protocol);
-                            ("stream", Str s.s_name);
-                            ("clients", Int s.s_clients);
-                            ("submitted", Int s.s_submitted);
-                            ("committed", Int s.s_committed);
-                            ("lat_p50_ms", num (s.s_lat_p50_us /. 1000.));
-                            ("lat_p99_ms", num (s.s_lat_p99_us /. 1000.));
-                            ("streaming", Bool s.s_streaming);
-                          ])
-                      r.workload_streams)
-                  results) );
-           ( "mev",
-             List
-               (List.filter_map
-                  (fun (r : Harness.Scenario.result) ->
-                    Option.map
-                      (fun (m : Workload.Engine.mev) ->
-                        Obj
-                          [
-                            ("protocol", Str r.protocol);
-                            ("user_swaps", Int m.user_swaps);
-                            ("searcher_swaps", Int m.searcher_swaps);
-                            ("extracted_value_y", num m.extracted_value_y);
-                            ("victim_slippage_y", Int m.victim_slippage_y);
-                            ("final_price_x_micro", Int m.final_price_x_micro);
-                          ])
-                      r.mev)
-                  results) );
-         ])
+         "WORKLOAD  scale self-check (open-loop engine vs echo sink; streaming \
+          recorder must engage), flash-crowd + hot-key + AMM flows per \
+          protocol (n=%d) and searcher extraction from the committed order \
+          (replayed; fair ordering should crush it)"
+         n)
+    [
+      single "selfcheck"
+        Metrics.Table.
+          [
+            col "modelled_clients" int (fun () -> clients);
+            col "submitted" int (fun () -> sc_submitted);
+            col "committed" int (fun () -> sc_committed);
+            col "streaming" bool (fun () -> Metrics.Recorder.is_streaming sc_rec);
+            col "retained_samples" int (fun () ->
+                Metrics.Recorder.retained_samples sc_rec);
+            col "latency_cap" int (fun () -> Workload.Engine.default_latency_cap);
+            col "peak_rss_kb" int (fun () -> rss);
+          ]
+        ();
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str fst;
+            col "stream" str (stream (fun s -> s.s_name));
+            col "clients" int (stream (fun s -> s.s_clients));
+            col "submitted" int (stream (fun s -> s.s_submitted));
+            col "committed" int (stream (fun s -> s.s_committed));
+            col "lat_p50_ms" (num 0) (stream (fun s -> s.s_lat_p50_us /. 1000.));
+            col "lat_p99_ms" (num 0) (stream (fun s -> s.s_lat_p99_us /. 1000.));
+            col "streaming" bool (stream (fun s -> s.s_streaming));
+          ]
+        (List.concat_map
+           (fun (r : Harness.Scenario.result) ->
+             List.map (fun s -> (r.protocol, s)) r.workload_streams)
+           results);
+      section "mev"
+        Metrics.Table.
+          [
+            col "protocol" str fst;
+            col "user_swaps" int (mev (fun m -> m.user_swaps));
+            col "searcher_swaps" int (mev (fun m -> m.searcher_swaps));
+            col "extracted_value_y" (num 0) (mev (fun m -> m.extracted_value_y));
+            col "victim_slippage_y" int (mev (fun m -> m.victim_slippage_y));
+            col "final_price_x_micro" int (mev (fun m -> m.final_price_x_micro));
+          ]
+        (List.filter_map
+           (fun (r : Harness.Scenario.result) ->
+             Option.map (fun m -> (r.protocol, m)) r.mev)
+           results);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* CENSOR — Byzantine-leader censorship (§V-E).                        *)
@@ -1176,20 +929,24 @@ let workload () =
 let censor () =
   let n = small_n 7 in
   let o = Attacks.Censorship.run ~n () in
-  Metrics.Table.print
+  let measured f (_, _, (m : Attacks.Censorship.measurement)) = f m in
+  emit "CENSOR"
     ~title:
       (Printf.sprintf
          "CENSOR  victim-tx latency and reordering under censorship (n=%d)" n)
-    ~header:[ "setting"; "mean ms"; "worst ms"; "reordered" ]
-    (List.map
-       (fun (protocol, label, (m : Attacks.Censorship.measurement)) ->
-         [
-           protocol ^ " " ^ label;
-           Printf.sprintf "%.0f" m.mean_ms;
-           Printf.sprintf "%.0f" m.worst_ms;
-           string_of_int m.reordered;
-         ])
-       o.rows)
+    [
+      field "n" Metrics.Table.int n;
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str (fun (protocol, _, _) -> protocol);
+            col "setting" str (fun (_, setting, _) -> setting);
+            col "mean_ms" (num 0) (measured (fun m -> m.mean_ms));
+            col "worst_ms" (num 0) (measured (fun m -> m.worst_ms));
+            col "reordered" int (measured (fun m -> m.reordered));
+          ]
+        o.rows;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* FAULTS — the robustness matrix: every protocol × every fault kind.  *)
@@ -1229,7 +986,7 @@ let faults () =
       ("combined", none |> loss |> crash |> partition |> skew);
     ]
   in
-  let rows =
+  let runs =
     List.concat_map
       (fun name ->
         let ((module P : Protocol.NODE) as p) =
@@ -1240,31 +997,37 @@ let faults () =
         in
         List.map
           (fun (plan_name, plan) ->
-            let r =
+            ( (name, plan_name),
               Harness.Scenario.run ~faults:plan p ~n
-                ~load:(Harness.Scenario.Closed 2) ~duration_us ()
-            in
-            [
-              name ^ " " ^ plan_name;
-              Printf.sprintf "%.0f" r.throughput_tps;
-              string_of_int r.dropped_msgs;
-              string_of_int r.dup_msgs;
-              string_of_int (List.length r.stall_windows);
-              (match r.first_violation with
-              | None -> "none"
-              | Some v -> v.Harness.Invariant_monitor.v_kind);
-            ])
+                ~load:(Harness.Scenario.Closed 2) ~duration_us () ))
           (plans ~warmup_us:P.default_warmup_us ~duration_us))
       Protocol.Registry.names
   in
-  Metrics.Table.print
+  emit "FAULTS"
     ~title:
       (Printf.sprintf
          "FAULTS  crash/loss/partition/skew matrix under the invariant \
           monitor (n=%d; violations must be none)"
          n)
-    ~header:[ "protocol / plan"; "tx/s"; "dropped"; "dup"; "stalls"; "violation" ]
-    rows
+    [
+      field "n" Metrics.Table.int n;
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str (fun ((name, _), _) -> name);
+            col "plan" str (fun ((_, plan), _) -> plan);
+            col "throughput_tps" (num 0) (res (fun r -> r.throughput_tps));
+            col "dropped_msgs" int (res (fun r -> r.dropped_msgs));
+            col "dup_msgs" int (res (fun r -> r.dup_msgs));
+            col "stalls" int (res (fun r -> List.length r.stall_windows));
+            col "violation" (opt str)
+              (res (fun r ->
+                   Option.map
+                     (fun v -> v.Harness.Invariant_monitor.v_kind)
+                     r.first_violation));
+          ]
+        runs;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* ATTACK — the attacker-window scorecard: per protocol, the minimal   *)
@@ -1281,33 +1044,34 @@ let attack () =
   let seed = 7L in
   let placements = if !smoke then 1 else 3 in
   let rows = Explore.Attack.scorecard ~seed ~n ~placements () in
-  let opt_i = function None -> "-" | Some b -> string_of_int b in
   let opt_s = function None -> "-" | Some s -> s in
-  Metrics.Table.print
+  emit "ATTACK"
     ~title:
       (Printf.sprintf
          "ATTACK  minimal adversary budget before an oracle trips (n=%d, \
           %d placement%s; '-' = no window up to the ceiling)"
          n placements
          (if placements = 1 then "" else "s"))
-    ~header:
-      [
-        "protocol"; "attack"; "budget unit"; "max"; "minimal"; "tripped";
-        "at ceiling"; "runs";
-      ]
-    (List.map
-       (fun (r : Explore.Attack.row) ->
-         [
-           r.protocol;
-           r.attack;
-           r.budget_unit;
-           string_of_int r.max_budget;
-           opt_i r.minimal_budget;
-           opt_s r.tripped;
-           opt_s r.ceiling_tripped;
-           string_of_int r.runs;
-         ])
-       rows);
+    [
+      field "n" Metrics.Table.int n;
+      field "seed" Metrics.Table.int (Int64.to_int seed);
+      field "placements" Metrics.Table.int placements;
+      section "rows"
+        Metrics.Table.
+          [
+            col "protocol" str (fun (r : Explore.Attack.row) -> r.protocol);
+            col "attack" str (fun (r : Explore.Attack.row) -> r.attack);
+            col "budget_unit" str (fun (r : Explore.Attack.row) -> r.budget_unit);
+            col "max_budget" int (fun (r : Explore.Attack.row) -> r.max_budget);
+            col "minimal_budget" (opt int) (fun (r : Explore.Attack.row) ->
+                r.minimal_budget);
+            col "tripped" (opt str) (fun (r : Explore.Attack.row) -> r.tripped);
+            col "ceiling_tripped" (opt str) (fun (r : Explore.Attack.row) ->
+                r.ceiling_tripped);
+            col "runs" int (fun (r : Explore.Attack.row) -> r.runs);
+          ]
+        rows;
+    ];
   (* The scorecard's headline claims are regressions, not observations:
      fail the run if they stop holding. *)
   let find protocol attack =
@@ -1349,65 +1113,7 @@ let attack () =
          (Printf.sprintf
             "attack: %d diverse links should deny lyra's eclipse window, \
              but budget %d tripped %s"
-            (f + 1) b (opt_s r.tripped)));
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_ATTACK.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ("n", Int_s);
-             ("seed", Int_s);
-             ("placements", Int_s);
-             ( "rows",
-               List_of
-                 (Obj_of
-                    [
-                      ("protocol", Str_s);
-                      ("attack", Str_s);
-                      ("budget_unit", Str_s);
-                      ("max_budget", Int_s);
-                      ("minimal_budget", Nullable Int_s);
-                      ("tripped", Nullable Str_s);
-                      ("ceiling_tripped", Nullable Str_s);
-                      ("runs", Int_s);
-                    ]) );
-           ])
-      (Obj
-         [
-           ("experiment", Str "attack");
-           ("smoke", Bool !smoke);
-           ("n", Int n);
-           ("seed", Int (Int64.to_int seed));
-           ("placements", Int placements);
-           ( "rows",
-             List
-               (List.map
-                  (fun (r : Explore.Attack.row) ->
-                    Obj
-                      [
-                        ("protocol", Str r.protocol);
-                        ("attack", Str r.attack);
-                        ("budget_unit", Str r.budget_unit);
-                        ("max_budget", Int r.max_budget);
-                        ( "minimal_budget",
-                          match r.minimal_budget with
-                          | None -> Null
-                          | Some b -> Int b );
-                        ( "tripped",
-                          match r.tripped with
-                          | None -> Null
-                          | Some s -> Str s );
-                        ( "ceiling_tripped",
-                          match r.ceiling_tripped with
-                          | None -> Null
-                          | Some s -> Str s );
-                        ("runs", Int r.runs);
-                      ])
-                  rows) );
-         ])
+            (f + 1) b (opt_s r.tripped)))
 
 (* ------------------------------------------------------------------ *)
 (* ABLATE — sensitivity of the Fig. 3 story to the testbed model.     *)
@@ -1443,26 +1149,35 @@ let ablate () =
         scale_dur 5_000_000 );
     ]
   in
-  let rows =
+  let runs =
     List.map
       (fun (label, ns_per_byte) ->
-        label
-        :: List.map
-             (fun (p, rate, dur) ->
-               let r =
-                 Harness.Scenario.run p ~n ~ns_per_byte
-                   ~load:(Harness.Scenario.Open_rate rate) ~duration_us:dur ()
-               in
-               Printf.sprintf "%.0f" r.throughput_tps)
-             specs)
+        ( label,
+          ns_per_byte,
+          List.map
+            (fun (p, rate, dur) ->
+              (Harness.Scenario.run p ~n ~ns_per_byte
+                 ~load:(Harness.Scenario.Open_rate rate) ~duration_us:dur ())
+                .throughput_tps)
+            specs ))
       (sweep [ ("1 Gb/s", 8); ("200 Mb/s", 40); ("50 Mb/s", 160) ])
   in
-  Metrics.Table.print
+  emit "ABLATE"
     ~title:
       "ABLATE  per-node bandwidth sweep at n=31 (the leader-based baselines \
        track the leader's line rate; Lyra does not)"
-    ~header:[ "line rate"; "lyra tx/s"; "pompe tx/s"; "hotstuff tx/s" ]
-    rows
+    [
+      field "n" Metrics.Table.int n;
+      section "rows"
+        Metrics.Table.(
+          col "line_rate" str (fun (label, _, _) -> label)
+          :: col "ns_per_byte" int (fun (_, ns_per_byte, _) -> ns_per_byte)
+          :: List.mapi
+               (fun i ((module P : Protocol.NODE), _, _) ->
+                 col (P.name ^ "_tps") (num 0) (fun (_, _, tps) -> List.nth tps i))
+               specs)
+        runs;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* SIMSPEED — self-benchmark of the simulator substrate.               *)
@@ -1571,92 +1286,44 @@ let simspeed () =
   let engine_eps = float_of_int engine_events /. engine_s in
   let by_kind = Sim.Engine.executed_by_kind engine in
   let rss = peak_rss_kb () in
-  Metrics.Table.print
+  emit "SIMSPEED"
     ~title:
       (Printf.sprintf
          "SIMSPEED  scheduler microbench (%d pending, %d reschedule ops) and \
           engine storm (n=%d)"
          pending ops n)
-    ~header:[ "metric"; "value" ]
-    ([
-       [ "heap events/s"; Printf.sprintf "%.0f" heap_eps ];
-       [ "wheel events/s"; Printf.sprintf "%.0f" wheel_eps ];
-       [ "wheel/heap speedup"; Printf.sprintf "%.2fx" speedup ];
-       [ "engine events"; string_of_int engine_events ];
-       [ "engine events/s"; Printf.sprintf "%.0f" engine_eps ];
-       [ "deliveries"; string_of_int !received ];
-       [ "peak RSS kB"; string_of_int rss ];
-     ]
-    @ List.map (fun (k, c) -> [ "events:" ^ k; string_of_int c ]) by_kind);
+    Metrics.Table.
+      [
+        single "scheduler"
+          [
+            col "pending" int (fun () -> pending);
+            col "ops" int (fun () -> ops);
+            col "events" int (fun () -> events);
+            col "heap_events_per_sec" (num 0) (fun () -> heap_eps);
+            col "wheel_events_per_sec" (num 0) (fun () -> wheel_eps);
+            col "speedup" (num 2) (fun () -> speedup);
+          ]
+          ();
+        single "engine"
+          [
+            col "n" int (fun () -> n);
+            col "duration_us" int (fun () -> duration_us);
+            col "events" int (fun () -> engine_events);
+            col "wall_s" (num 3) (fun () -> engine_s);
+            col "events_per_sec" (num 0) (fun () -> engine_eps);
+            col "deliveries" int (fun () -> !received);
+            col "by_kind"
+              (rows [ col "kind" str fst; col "count" int snd ])
+              (fun () -> by_kind);
+          ]
+          ();
+        field "peak_rss_kb" int rss;
+      ];
   if speedup < 5.0 then
     Printf.printf
       "SIMSPEED WARNING: wheel speedup %.2fx below the 5x floor — scheduler \
        regression?\n%!"
-      speedup;
-  if !json then
-    let open Metrics.Json in
-    write_json ~file:"BENCH_SIMSPEED.json"
-      ~schema:
-        (Obj_of
-           [
-             ("experiment", Str_s);
-             ("smoke", Bool_s);
-             ( "scheduler",
-               Obj_of
-                 [
-                   ("pending", Int_s);
-                   ("ops", Int_s);
-                   ("events", Int_s);
-                   ("heap_events_per_sec", Num_s);
-                   ("wheel_events_per_sec", Num_s);
-                   ("speedup", Num_s);
-                 ] );
-             ( "engine",
-               Obj_of
-                 [
-                   ("n", Int_s);
-                   ("duration_us", Int_s);
-                   ("events", Int_s);
-                   ("wall_s", Num_s);
-                   ("events_per_sec", Num_s);
-                   ("deliveries", Int_s);
-                   ( "by_kind",
-                     List_of (Obj_of [ ("kind", Str_s); ("count", Int_s) ]) );
-                 ] );
-             ("peak_rss_kb", Int_s);
-           ])
-      (Obj
-         [
-           ("experiment", Str "simspeed");
-           ("smoke", Bool !smoke);
-           ( "scheduler",
-             Obj
-               [
-                 ("pending", Int pending);
-                 ("ops", Int ops);
-                 ("events", Int events);
-                 ("heap_events_per_sec", num heap_eps);
-                 ("wheel_events_per_sec", num wheel_eps);
-                 ("speedup", num speedup);
-               ] );
-           ( "engine",
-             Obj
-               [
-                 ("n", Int n);
-                 ("duration_us", Int duration_us);
-                 ("events", Int engine_events);
-                 ("wall_s", num engine_s);
-                 ("events_per_sec", num engine_eps);
-                 ("deliveries", Int !received);
-                 ( "by_kind",
-                   List
-                     (List.map
-                        (fun (k, c) ->
-                          Obj [ ("kind", Str k); ("count", Int c) ])
-                        by_kind) );
-               ] );
-           ("peak_rss_kb", Int rss);
-         ])
+      speedup
 
 (* ------------------------------------------------------------------ *)
 (* MICRO — Bechamel microbenchmarks of the crypto substrate.           *)
@@ -1697,27 +1364,37 @@ let micro () =
     ]
   in
   let quota = if !smoke then 0.05 else 0.3 in
-  Printf.printf
-    "\n== MICRO  crypto substrate (ns/op; informs Sim.Costs calibration) ==\n%!";
-  List.iter
-    (fun test ->
-      let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second quota) ~kde:None () in
-      let results = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      (* bechamel returns one single-entry table per benchmark here, so
-         traversal order cannot affect the output. lint: allow D001 *)
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-22s %12.0f ns/op\n%!" name est
-          | Some _ | None -> Printf.printf "%-22s (no estimate)\n%!" name)
-        ols)
-    tests
+  let estimates =
+    List.concat_map
+      (fun test ->
+        let cfg =
+          Benchmark.cfg ~limit:500 ~quota:(Time.second quota) ~kde:None ()
+        in
+        let results = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
+        let ols =
+          Analyze.all
+            (Analyze.ols ~bootstrap:0 ~r_square:false
+               ~predictors:[| Measure.run |])
+            Toolkit.Instance.monotonic_clock results
+        in
+        (* bechamel returns one single-entry table per benchmark here, so
+           traversal order cannot affect the output. lint: allow D001 *)
+        Hashtbl.fold
+          (fun name result acc ->
+            match Analyze.OLS.estimates result with
+            | Some [ est ] -> (name, Some est) :: acc
+            | Some _ | None -> (name, None) :: acc)
+          ols [])
+      tests
+  in
+  emit "MICRO"
+    ~title:"MICRO  crypto substrate (ns/op; informs Sim.Costs calibration)"
+    [
+      field "quota_s" (Metrics.Table.num 2) quota;
+      section "rows"
+        Metrics.Table.[ col "bench" str fst; col "ns_per_op" (opt (num 0)) snd ]
+        estimates;
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1749,22 +1426,20 @@ let () =
           smoke := true;
           false
         end
-        else if a = "--json" then begin
-          json := true;
-          false
-        end
         else true)
       (List.tl (Array.to_list Sys.argv))
   in
   let targets = match args with [] -> List.map fst all | names -> names in
+  (match List.filter (fun name -> not (List.mem_assoc name all)) targets with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment %s (have: %s)\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst all));
+      exit 2);
   List.iter
     (fun name ->
-      match List.assoc_opt name all with
-      | Some f ->
-          let t0 = now_wall () in
-          f ();
-          Printf.printf "[%s done in %.1fs]\n%!" name (now_wall () -. t0)
-      | None ->
-          Printf.eprintf "unknown experiment %s (have: %s)\n" name
-            (String.concat ", " (List.map fst all)))
+      let t0 = now_wall () in
+      (List.assoc name all) ();
+      Printf.printf "[%s done in %.1fs]\n%!" name (now_wall () -. t0))
     targets

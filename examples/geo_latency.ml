@@ -8,31 +8,34 @@
 let () =
   Printf.printf
     "Lyra across Oregon / Ireland / Sydney; closed-loop clients per node.\n\n";
-  let header = [ "n"; "clients"; "tx/s"; "p50 ms"; "p95 ms"; "rounds" ] in
-  let rows = ref [] in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun clients ->
-          let r =
-            Harness.Scenario.run
-              (Protocol.Lyra_adapter.make ())
-              ~n ~load:(Harness.Scenario.Closed clients) ~duration_us:3_000_000 ()
-          in
-          assert (r.prefix_safe && r.late_accepts = 0);
-          rows :=
-            [
-              string_of_int n;
-              string_of_int clients;
-              Printf.sprintf "%.0f" r.throughput_tps;
-              Printf.sprintf "%.0f" (Metrics.Recorder.percentile 50.0 r.latency_ms);
-              Printf.sprintf "%.0f" (Metrics.Recorder.percentile 95.0 r.latency_ms);
-              Printf.sprintf "%.2f" r.decide_rounds;
-            ]
-            :: !rows)
-        [ 1; 4 ])
-    [ 4; 7; 16 ];
-  Metrics.Table.print ~title:"Lyra geo-latency" ~header (List.rev !rows);
+  let runs =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun clients ->
+            let r =
+              Harness.Scenario.run
+                (Protocol.Lyra_adapter.make ())
+                ~n ~load:(Harness.Scenario.Closed clients) ~duration_us:3_000_000 ()
+            in
+            assert (r.prefix_safe && r.late_accepts = 0);
+            (clients, r))
+          [ 1; 4 ])
+      [ 4; 7; 16 ]
+  in
+  let res f (_, (r : Harness.Scenario.result)) = f r in
+  let latency p = res (fun r -> Metrics.Recorder.percentile p r.latency_ms) in
+  Metrics.Table.(
+    print ~title:"Lyra geo-latency"
+      [
+        col "n" int (res (fun r -> r.n));
+        col "clients" int fst;
+        col "tx/s" (num 0) (res (fun r -> r.throughput_tps));
+        col "p50 ms" (num 0) (latency 50.0);
+        col "p95 ms" (num 0) (latency 95.0);
+        col "rounds" (num 2) (res (fun r -> r.decide_rounds));
+      ]
+      runs);
   let cfg = Lyra.Config.default ~n:16 in
   Printf.printf
     "\nLatency anatomy: ~3 one-way delays for BOC (Thm 3), then the commit\n\

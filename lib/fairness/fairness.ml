@@ -54,13 +54,26 @@ let count_inversions (a : int array) =
   sort 0 n;
   !inv
 
-(* First decided rank of each key; later duplicates (a protocol bug,
-   but scoring must not crash on one) keep the first rank. *)
-let decided_ranks decided =
+(* Decided keys, first occurrence only, in decided order: a repeated
+   key (a protocol bug, but scoring must not crash on one) keeps its
+   first position. *)
+let dedup decided =
+  let seen = Hashtbl.create 257 in
+  Array.of_list
+    (List.filter
+       (fun key ->
+         if Hashtbl.mem seen key then false
+         else begin
+           Hashtbl.replace seen key ();
+           true
+         end)
+       decided)
+
+(* Rank of each key in the de-duplicated decided order, so ranks index
+   [dedup decided]. *)
+let decided_ranks dec =
   let tbl = Hashtbl.create 257 in
-  List.iteri
-    (fun i key -> if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key i)
-    decided;
+  Array.iteri (fun i key -> Hashtbl.add tbl key i) dec;
   tbl
 
 (* One observer's receive log projected onto decided ranks: unknown
@@ -83,7 +96,7 @@ let projected_ranks drank received =
   Array.of_list (List.rev rev)
 
 let inversions ~decided ~received =
-  let drank = decided_ranks decided in
+  let drank = decided_ranks (dedup decided) in
   let ranks = projected_ranks drank received in
   let k = Array.length ranks in
   (count_inversions ranks, k * (k - 1) / 2)
@@ -95,20 +108,8 @@ let median_sorted (a : float array) = a.((Array.length a - 1) / 2)
 
 let score ?(gammas = default_gammas) ?(max_lag = 64) ?frontrun_success
     ~decided ~received () =
-  let drank = decided_ranks decided in
-  (* Decided keys, first occurrence only, in decided order. *)
-  let dec =
-    let seen = Hashtbl.create 257 in
-    Array.of_list
-      (List.filter
-         (fun key ->
-           if Hashtbl.mem seen key then false
-           else begin
-             Hashtbl.replace seen key ();
-             true
-           end)
-         decided)
-  in
+  let dec = dedup decided in
+  let drank = decided_ranks dec in
   let k = Array.length dec in
   let m = Array.length received in
   (* Kendall inversions, exact over all pairs, per observer. *)

@@ -35,14 +35,15 @@ type result = {
 let wan_ns_per_byte = 40 (* ≈ 200 Mb/s effective per node over the WAN *)
 
 let pp_result fmt r =
-  Format.fprintf fmt
-    "%s n=%d: %.0f tx/s, latency p50=%.0fms mean=%.0fms, committed=%d, \
-     prefix_safe=%b"
-    r.protocol r.n r.throughput_tps
-    (if Metrics.Recorder.is_empty r.latency_ms then 0.0
-     else Metrics.Recorder.percentile 50.0 r.latency_ms)
-    (Metrics.Recorder.mean r.latency_ms)
-    r.committed_txs r.prefix_safe;
+  Format.fprintf fmt "%s n=%d: %.0f tx/s, latency " r.protocol r.n
+    r.throughput_tps;
+  if Metrics.Recorder.is_empty r.latency_ms then Format.fprintf fmt "n/a"
+  else
+    Format.fprintf fmt "p50=%.0fms mean=%.0fms"
+      (Metrics.Recorder.percentile 50.0 r.latency_ms)
+      (Metrics.Recorder.mean r.latency_ms);
+  Format.fprintf fmt ", committed=%d, prefix_safe=%b" r.committed_txs
+    r.prefix_safe;
   if r.dropped_msgs > 0 || r.dup_msgs > 0 then
     Format.fprintf fmt ", dropped=%d dup=%d" r.dropped_msgs r.dup_msgs;
   (match r.stall_windows with
@@ -437,26 +438,23 @@ let run ?(seed = 1L) ?warmup_us ?(jitter = 0.01) ?(ns_per_byte = wan_ns_per_byte
     fairness;
   }
 
-(* The LAT3R anatomy table: one row per pipeline phase, aggregated over
-   honest nodes' own batches within the measurement window. *)
-let phase_table r =
-  let header = [ "phase"; "samples"; "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms" ] in
-  let rows =
-    List.map
-      (fun (label, rec_) ->
-        if Metrics.Recorder.is_empty rec_ then
-          [ label; "0"; "-"; "-"; "-"; "-" ]
-        else
-          let sorted = Metrics.Recorder.sorted rec_ in
-          let mean, p50, p95, p99, _ = Metrics.Stats.summary_sorted sorted in
-          [
-            label;
-            string_of_int (Array.length sorted);
-            Printf.sprintf "%.1f" mean;
-            Printf.sprintf "%.1f" p50;
-            Printf.sprintf "%.1f" p95;
-            Printf.sprintf "%.1f" p99;
-          ])
-      r.phases
-  in
-  Metrics.Table.render ~header rows
+(* The LAT3R anatomy: one row per pipeline phase, aggregated over honest
+   nodes' own batches within the measurement window. Statistics read
+   one sorted snapshot each, so an empty phase shows no number. *)
+let phase_stat f (_, rec_) =
+  if Metrics.Recorder.is_empty rec_ then None
+  else Some (f (Metrics.Recorder.sorted rec_))
+
+let phase_columns =
+  let pct p = phase_stat (Metrics.Stats.percentile_sorted p) in
+  Metrics.Table.
+    [
+      col "phase" str fst;
+      col "samples" int (fun (_, rec_) -> Metrics.Recorder.count rec_);
+      col "mean_ms" (opt (num 1)) (phase_stat Metrics.Stats.mean);
+      col "p50_ms" (opt (num 1)) (pct 50.0);
+      col "p95_ms" (opt (num 1)) (pct 95.0);
+      col "p99_ms" (opt (num 1)) (pct 99.0);
+    ]
+
+let phase_table r = Metrics.Table.render phase_columns r.phases

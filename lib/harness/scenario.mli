@@ -78,10 +78,16 @@ type result = {
           anything *)
 }
 
+(** One-line summary; the latency reads [n/a] when the window
+    committed nothing. *)
 val pp_result : Format.formatter -> result -> unit
 
-(** Plain-text table of the phase breakdown (samples, mean, p50, p95,
-    p99 per phase). *)
+(** Columns of the phase breakdown over [result.phases] rows: phase,
+    samples, then mean/p50/p95/p99 in ms, empty for a phase with no
+    samples. *)
+val phase_columns : (string * Metrics.Recorder.t) Metrics.Table.column list
+
+(** Plain-text table of the phase breakdown ({!phase_columns}). *)
 val phase_table : result -> string
 
 (** [run (module P) ~n ~load ~duration_us ()] — the one generic driver:

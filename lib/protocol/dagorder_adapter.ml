@@ -6,45 +6,23 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions
     (* Leaderless: only the round pipeline needs to fill. *)
     let default_warmup_us = 500_000
 
-    type net = {
-      net : Dagorder.Node.msg Sim.Network.t;
-      cfg : Dagorder.Node.config;
-      faults : Sim.Faults.plan;
-    }
+    include Transport.Make (struct
+      type msg = Dagorder.Node.msg
+
+      type config = Dagorder.Node.config
+
+      let config ~n = tweak (Dagorder.Node.default_config ~n)
+
+      let tx_size c = c.Dagorder.Node.tx_size
+
+      let cost costs ~n:_ m = Dagorder.Node.msg_cost costs m
+
+      let size = Dagorder.Node.msg_size
+
+      let regions = regions
+    end)
 
     type t = Dagorder.Node.t
-
-    let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
-        ?adversary ?perturb ?trace ?dissemination () =
-      let cfg = tweak (Dagorder.Node.default_config ~n) in
-      let regions =
-        match regions with
-        | Some r -> r
-        | None -> Sim.Regions.paper_placement n
-      in
-      let latency = Sim.Latency.regional ~jitter regions in
-      let costs = Sim.Costs.default in
-      let net =
-        Sim.Network.create engine ~n ~latency ?ns_per_byte ~faults ?adversary
-          ?perturb ?trace ?dissemination
-          ~cost:(fun ~dst:_ m -> Dagorder.Node.msg_cost costs m)
-          ~size:Dagorder.Node.msg_size ()
-      in
-      { net; cfg; faults }
-
-    let tx_size nt = nt.cfg.Dagorder.Node.tx_size
-
-    let net_messages nt = Sim.Network.messages_sent nt.net
-
-    let net_bytes nt = Sim.Network.bytes_sent nt.net
-
-    let net_dropped nt = Sim.Network.messages_dropped nt.net
-
-    let net_dup nt = Sim.Network.messages_duplicated nt.net
-
-    let net_cpu nt id = Sim.Network.cpu nt.net id
-
-    let net_nic nt id = Sim.Network.nic nt.net id
 
     let convert (o : Dagorder.Node.output) =
       {
@@ -90,9 +68,6 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions
         mempool = Dagorder.Node.mempool_size t;
         committed_seq = Dagorder.Node.committed_seq t;
         late_accepts = 0;
-        phases =
-          List.map
-            (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Dagorder.Node.phases t));
+        phases = Transport.phases (Dagorder.Node.phases t);
       }
   end)

@@ -5,44 +5,26 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions () :
 
     let default_warmup_us = 500_000
 
-    type net = { net : Hotstuff.Smr.msg Sim.Network.t; cfg : Hotstuff.Smr.config }
-
-    type t = Hotstuff.Smr.t
-
     (* HotStuff has no local-clock component, so plan skews have nothing
        to act on here; the transport still executes the rest of the
        plan. *)
-    let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
-        ?adversary ?perturb ?trace ?dissemination () =
-      let cfg = tweak (Hotstuff.Smr.default_config ~n) in
-      let regions =
-        match regions with
-        | Some r -> r
-        | None -> Sim.Regions.paper_placement n
-      in
-      let latency = Sim.Latency.regional ~jitter regions in
-      let costs = Sim.Costs.default in
-      let net =
-        Sim.Network.create engine ~n ~latency ?ns_per_byte ~faults ?adversary
-          ?perturb ?trace ?dissemination
-          ~cost:(fun ~dst:_ m -> Hotstuff.Smr.msg_cost costs m)
-          ~size:Hotstuff.Smr.msg_size ()
-      in
-      { net; cfg }
+    include Transport.Make (struct
+      type msg = Hotstuff.Smr.msg
 
-    let tx_size nt = nt.cfg.Hotstuff.Smr.tx_size
+      type config = Hotstuff.Smr.config
 
-    let net_messages nt = Sim.Network.messages_sent nt.net
+      let config ~n = tweak (Hotstuff.Smr.default_config ~n)
 
-    let net_bytes nt = Sim.Network.bytes_sent nt.net
+      let tx_size c = c.Hotstuff.Smr.tx_size
 
-    let net_dropped nt = Sim.Network.messages_dropped nt.net
+      let cost costs ~n:_ m = Hotstuff.Smr.msg_cost costs m
 
-    let net_dup nt = Sim.Network.messages_duplicated nt.net
+      let size = Hotstuff.Smr.msg_size
 
-    let net_cpu nt id = Sim.Network.cpu nt.net id
+      let regions = regions
+    end)
 
-    let net_nic nt id = Sim.Network.nic nt.net id
+    type t = Hotstuff.Smr.t
 
     let convert (o : Hotstuff.Smr.output) =
       {
@@ -76,9 +58,6 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false) ?regions () :
         mempool = Hotstuff.Smr.mempool_size t;
         committed_seq = Hotstuff.Smr.committed_height t;
         late_accepts = 0;
-        phases =
-          List.map
-            (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Hotstuff.Smr.phases t));
+        phases = Transport.phases (Hotstuff.Smr.phases t);
       }
   end)

@@ -6,45 +6,23 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
     (* Distance measurement (§IV-B1) must finish before measuring. *)
     let default_warmup_us = 1_500_000
 
-    type net = {
-      net : Lyra.Types.msg Sim.Network.t;
-      cfg : Lyra.Config.t;
-      faults : Sim.Faults.plan;
-    }
+    include Transport.Make (struct
+      type msg = Lyra.Types.msg
+
+      type config = Lyra.Config.t
+
+      let config ~n = tweak (Lyra.Config.default ~n)
+
+      let tx_size c = c.Lyra.Config.tx_size
+
+      let cost costs ~n:_ m = Lyra.Types.msg_cost costs m
+
+      let size = Lyra.Types.msg_size
+
+      let regions = regions
+    end)
 
     type t = { node : Lyra.Node.t; honest : bool }
-
-    let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
-        ?adversary ?perturb ?trace ?dissemination () =
-      let cfg = tweak (Lyra.Config.default ~n) in
-      let regions =
-        match regions with
-        | Some r -> r
-        | None -> Sim.Regions.paper_placement n
-      in
-      let latency = Sim.Latency.regional ~jitter regions in
-      let costs = Sim.Costs.default in
-      let net =
-        Sim.Network.create engine ~n ~latency ?ns_per_byte ~faults ?adversary
-          ?perturb ?trace ?dissemination
-          ~cost:(fun ~dst:_ m -> Lyra.Types.msg_cost costs m)
-          ~size:Lyra.Types.msg_size ()
-      in
-      { net; cfg; faults }
-
-    let tx_size nt = nt.cfg.Lyra.Config.tx_size
-
-    let net_messages nt = Sim.Network.messages_sent nt.net
-
-    let net_bytes nt = Sim.Network.bytes_sent nt.net
-
-    let net_dropped nt = Sim.Network.messages_dropped nt.net
-
-    let net_dup nt = Sim.Network.messages_duplicated nt.net
-
-    let net_cpu nt id = Sim.Network.cpu nt.net id
-
-    let net_nic nt id = Sim.Network.nic nt.net id
 
     let convert (o : Lyra.Node.output) =
       {
@@ -107,9 +85,6 @@ let make ?(tweak = fun c -> c) ?(byz = fun _ -> None) ?regions
         mempool = Lyra.Node.mempool_size t.node;
         committed_seq = Lyra.Node.committed_seq t.node;
         late_accepts = Lyra.Node.late_accepts t.node;
-        phases =
-          List.map
-            (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Lyra.Node.phases t.node));
+        phases = Transport.phases (Lyra.Node.phases t.node);
       }
   end)

@@ -6,45 +6,23 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
 
     let default_warmup_us = 500_000
 
-    type net = {
-      net : Pompe.Types.body Sim.Network.t;
-      cfg : Pompe.Config.t;
-      faults : Sim.Faults.plan;
-    }
+    include Transport.Make (struct
+      type msg = Pompe.Types.body
+
+      type config = Pompe.Config.t
+
+      let config ~n = tweak (Pompe.Config.default ~n)
+
+      let tx_size c = c.Pompe.Config.tx_size
+
+      let cost = Pompe.Types.msg_cost
+
+      let size = Pompe.Types.msg_size
+
+      let regions = regions
+    end)
 
     type t = Pompe.Node.t
-
-    let make_net engine ~n ~jitter ?ns_per_byte ?(faults = Sim.Faults.none)
-        ?adversary ?perturb ?trace ?dissemination () =
-      let cfg = tweak (Pompe.Config.default ~n) in
-      let regions =
-        match regions with
-        | Some r -> r
-        | None -> Sim.Regions.paper_placement n
-      in
-      let latency = Sim.Latency.regional ~jitter regions in
-      let costs = Sim.Costs.default in
-      let net =
-        Sim.Network.create engine ~n ~latency ?ns_per_byte ~faults ?adversary
-          ?perturb ?trace ?dissemination
-          ~cost:(fun ~dst:_ b -> Pompe.Types.msg_cost costs ~n b)
-          ~size:Pompe.Types.msg_size ()
-      in
-      { net; cfg; faults }
-
-    let tx_size nt = nt.cfg.Pompe.Config.tx_size
-
-    let net_messages nt = Sim.Network.messages_sent nt.net
-
-    let net_bytes nt = Sim.Network.bytes_sent nt.net
-
-    let net_dropped nt = Sim.Network.messages_dropped nt.net
-
-    let net_dup nt = Sim.Network.messages_duplicated nt.net
-
-    let net_cpu nt id = Sim.Network.cpu nt.net id
-
-    let net_nic nt id = Sim.Network.nic nt.net id
 
     let convert (o : Pompe.Node.output) =
       {
@@ -92,9 +70,6 @@ let make ?(tweak = fun c -> c) ?(censor = fun _ _ -> false)
         mempool = Pompe.Node.mempool_size t;
         committed_seq = Pompe.Node.committed_height t;
         late_accepts = 0;
-        phases =
-          List.map
-            (fun (label, r) -> (label, Metrics.Recorder.to_array r))
-            (Metrics.Phases.pairs (Pompe.Node.phases t));
+        phases = Transport.phases (Pompe.Node.phases t);
       }
   end)

@@ -84,42 +84,24 @@ let report t ~over_us =
   Buffer.add_string buf
     (Printf.sprintf "profiler: %d backlog samples per node, bucket=%dms\n"
        t.samples (t.bucket_us / 1000));
-  let header =
-    [
-      "node";
-      "cpu.util";
-      "cpu.peak";
-      "cpuq.p50us";
-      "cpuq.p99us";
-      "cpuq.maxus";
-      "nic.util";
-      "nic.peak";
-      "nicq.p99us";
-    ]
+  let util cpus i = Cpu.utilization cpus.(i) ~over_us in
+  let peak cpus tls i =
+    peak_util tls.(i) ~bucket_us:t.bucket_us ~cores:(Cpu.cores cpus.(i))
   in
-  let rows =
-    List.init n (fun i ->
-        let cq = Metrics.Recorder.sorted t.cpu_backlog.(i) in
-        let nq = Metrics.Recorder.sorted t.nic_backlog.(i) in
-        let cq_max =
-          if Int.equal (Array.length cq) 0 then 0.0
-          else cq.(Array.length cq - 1)
-        in
-        [
-          string_of_int i;
-          Printf.sprintf "%.3f" (Cpu.utilization t.cpus.(i) ~over_us);
-          Printf.sprintf "%.3f"
-            (peak_util t.cpu_tl.(i) ~bucket_us:t.bucket_us
-               ~cores:(Cpu.cores t.cpus.(i)));
-          Printf.sprintf "%.0f" (pct cq 50.0);
-          Printf.sprintf "%.0f" (pct cq 99.0);
-          Printf.sprintf "%.0f" cq_max;
-          Printf.sprintf "%.3f" (Cpu.utilization t.nics.(i) ~over_us);
-          Printf.sprintf "%.3f"
-            (peak_util t.nic_tl.(i) ~bucket_us:t.bucket_us
-               ~cores:(Cpu.cores t.nics.(i)));
-          Printf.sprintf "%.0f" (pct nq 99.0);
-        ])
+  let backlog recs p i = pct (Metrics.Recorder.sorted recs.(i)) p in
+  let columns =
+    Metrics.Table.
+      [
+        col "node" int Fun.id;
+        col "cpu.util" (num 3) (util t.cpus);
+        col "cpu.peak" (num 3) (peak t.cpus t.cpu_tl);
+        col "cpuq.p50us" (num 0) (backlog t.cpu_backlog 50.0);
+        col "cpuq.p99us" (num 0) (backlog t.cpu_backlog 99.0);
+        col "cpuq.maxus" (num 0) (backlog t.cpu_backlog 100.0);
+        col "nic.util" (num 3) (util t.nics);
+        col "nic.peak" (num 3) (peak t.nics t.nic_tl);
+        col "nicq.p99us" (num 0) (backlog t.nic_backlog 99.0);
+      ]
   in
-  Buffer.add_string buf (Metrics.Table.render ~header rows);
+  Buffer.add_string buf (Metrics.Table.render columns (List.init n Fun.id));
   Buffer.contents buf

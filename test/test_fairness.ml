@@ -87,6 +87,57 @@ let prop_projection =
       && identity_pairs = pairs_of k)
 
 (* ------------------------------------------------------------------ *)
+(* Logs a buggy or Byzantine run can produce — repeated decided keys,  *)
+(* received keys nobody decided, empty logs — never make scoring       *)
+(* raise, and a repeated decided key scores as its first occurrence.   *)
+(* ------------------------------------------------------------------ *)
+
+let prop_messy_logs =
+  QCheck.Test.make
+    ~name:"score/inversions: duplicates, strangers and empty logs never raise"
+    ~count:300
+    QCheck.(int_bound 0xFF_FFFF)
+    (fun seed ->
+      let rng = Crypto.Rng.create (Int64.of_int seed) in
+      (* A 12-key space, so decided logs repeat keys; index 9 marks a
+         stranger that no decided log contains. *)
+      let log ~strangers =
+        List.init (Crypto.Rng.int rng 12) (fun _ ->
+            let sender = Crypto.Rng.int rng 3 in
+            if strangers && Crypto.Rng.int rng 4 = 0 then key sender 9
+            else key sender (Crypto.Rng.int rng 4))
+      in
+      let decided = log ~strangers:false in
+      let received =
+        Array.init (Crypto.Rng.int rng 4) (fun _ ->
+            List.mapi (fun i k -> (k, i)) (log ~strangers:true))
+      in
+      let first_only =
+        List.rev
+          (List.fold_left
+             (fun acc k -> if List.mem k acc then acc else k :: acc)
+             [] decided)
+      in
+      let inversions_agree =
+        Array.for_all
+          (fun l ->
+            let received = List.map fst l in
+            let inv, pairs = Fairness.inversions ~decided ~received in
+            inv <= pairs
+            && (inv, pairs) = Fairness.inversions ~decided:first_only ~received)
+          received
+      in
+      let ranks =
+        Array.init (Crypto.Rng.int rng 10) (fun _ -> Crypto.Rng.int rng 4)
+      in
+      let k = Array.length ranks in
+      let c = Fairness.count_inversions ranks in
+      Fairness.score ~decided ~received ()
+      = Fairness.score ~decided:first_only ~received ()
+      && inversions_agree && c >= 0
+      && c <= pairs_of k)
+
+(* ------------------------------------------------------------------ *)
 (* γ-batch-order: tightening γ can only shrink the mandated set, and   *)
 (* violations never exceed it.                                         *)
 (* ------------------------------------------------------------------ *)
@@ -214,6 +265,7 @@ let suite =
     Alcotest.test_case "inversion extremes" `Quick test_inversion_extremes;
     QCheck_alcotest.to_alcotest prop_inversion_symmetric;
     QCheck_alcotest.to_alcotest prop_projection;
+    QCheck_alcotest.to_alcotest prop_messy_logs;
     QCheck_alcotest.to_alcotest prop_gamma_monotone;
     Alcotest.test_case "seeded report reproducibility" `Slow
       test_report_deterministic;

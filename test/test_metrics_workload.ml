@@ -59,13 +59,46 @@ let test_recorder_grows () =
   Metrics.Recorder.clear r;
   Alcotest.(check int) "cleared" 0 (Metrics.Recorder.count r)
 
+(* One column list derives the table, the JSON rows and the schema;
+   NaN and None are empty in both renderings. *)
 let test_table_render () =
-  let s =
-    Metrics.Table.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "333"; "4" ] ]
+  let open Metrics.Table in
+  let cols =
+    [
+      col "name" str fst;
+      col "value" (num 2) snd;
+      col "hits" (opt int) (fun (name, _) ->
+          if String.equal name "b" then None else Some 3);
+    ]
   in
-  Alcotest.(check bool) "has separator" true (String.contains s '-');
-  Alcotest.(check int) "4 lines" 4
-    (List.length (String.split_on_char '\n' (String.trim s)))
+  let data = [ ("a", 1.5); ("b", Float.nan) ] in
+  let words line = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+  (match String.split_on_char '\n' (String.trim (render cols data)) with
+  | [ header; sep; a; b ] ->
+      Alcotest.(check (list string)) "one column per key, in order"
+        [ "name"; "value"; "hits" ] (words header);
+      Alcotest.(check bool) "separator" true (String.for_all (( = ) '-') sep);
+      Alcotest.(check (list string)) "row a" [ "a"; "1.50"; "3" ] (words a);
+      Alcotest.(check (list string)) "NaN and None render as -"
+        [ "b"; "-"; "-" ] (words b)
+  | lines -> Alcotest.failf "expected 4 lines, got %d" (List.length lines));
+  let json = List.map (to_json cols) data in
+  Alcotest.(check bool) "NaN and None are null" true
+    (Metrics.Json.member "value" (List.nth json 1) = Some Metrics.Json.Null
+    && Metrics.Json.member "hits" (List.nth json 1) = Some Metrics.Json.Null);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) "schema accepts the rows" true
+        (Result.is_ok (Metrics.Json.check (schema cols) v)))
+    json;
+  Alcotest.(check bool) "schema rejects a row missing a column" true
+    (Result.is_error
+       (Metrics.Json.check (schema cols)
+          (to_json [ col "name" str fst; col "value" (num 2) snd ] ("a", 1.5))));
+  (* Nested rows round-trip through the same derivation. *)
+  let parent = [ col "label" str Fun.id; col "rows" (rows cols) (fun _ -> data) ] in
+  Alcotest.(check bool) "nested schema accepts nested rows" true
+    (Result.is_ok (Metrics.Json.check (schema parent) (to_json parent "p")))
 
 let test_closed_pool () =
   let e = Sim.Engine.create () in
