@@ -169,19 +169,20 @@ let check_smoke_commits label (r : Harness.Scenario.result) =
           closed-loop turnaround"
          label r.protocol r.n r.window_us)
 
+(* The per-protocol stretch of a measurement window. Leader-based
+   pipelines (pompe, hotstuff) have a ~2.7 s closed-loop turnaround:
+   give them a window that fits at least one full turn at every n. In
+   smoke mode the 0.6 s base window is shorter than every protocol's
+   turnaround, and clients start (and first submit) before the
+   measurement window opens, so only a *second* closed-loop turn can be
+   measured: the leaderless protocols' (lyra, dag) lands at ~2.2 s into
+   the window and Pompe's at ~5.4 s. Simulated seconds at n=4 are
+   nearly free in wall-clock terms. *)
+let window_extra = function
+  | "lyra" | "dag" -> if !smoke then 1_400_000 else 0
+  | _ -> if !smoke then 5_400_000 else 3_000_000
+
 let fig2 () =
-  (* Leader-based pipelines have a ~2.7 s closed-loop turnaround: give
-     them a window that fits at least one full turn at every n. In
-     smoke mode the 0.6 s base window is shorter than every protocol's
-     turnaround, and clients start (and first submit) before the
-     measurement window opens, so only a *second* closed-loop turn can
-     be measured: Lyra's lands at ~2.2 s into the window and Pompe's at
-     ~5.4 s. Stretch per protocol — simulated seconds at n=4 are
-     nearly free in wall-clock terms. *)
-  let extra = function
-    | "lyra" -> if !smoke then 1_400_000 else 0
-    | _ -> if !smoke then 5_400_000 else 3_000_000
-  in
   (* Smoke also runs one paper-scale row: n=100 for every protocol, so
      the scale the timing-wheel scheduler exists for rides `dune
      runtest` (bench --smoke) and cannot silently rot between full
@@ -223,7 +224,7 @@ let fig2 () =
           else
             List.map
               (fun (name, p) ->
-                (p, Harness.Scenario.Closed 2, None, dur + extra name))
+                (p, Harness.Scenario.Closed 2, None, dur + window_extra name))
               (Protocol.Registry.all ())
         in
         let results =
@@ -277,35 +278,46 @@ let fig2 () =
 (* verifications per batch for Pompe), which falls as n grows.         *)
 (* ------------------------------------------------------------------ *)
 
-let fig3 () =
-  let lyra_rate_per_node = if !smoke then 600.0 else 2_400.0 in
-  let leader_total_rate = if !smoke then 4_000.0 else 120_000.0 in
-  let specs =
-    [
-      ( "lyra",
-        Protocol.Lyra_adapter.make
-          ~tweak:(fun c ->
-            { c with Lyra.Config.batch_timeout_us = 350_000; max_inflight = 16 })
-          (),
-        (fun _n -> lyra_rate_per_node),
-        (* In smoke mode the 0.6 s base window ends before Lyra's ~1 s
-           commit latency (350 ms batch timeout) can land a single
-           in-window transaction; see fig2's per-protocol stretch. *)
-        if !smoke then 1_400_000 else 0 );
-      ( "pompe",
-        Protocol.Pompe_adapter.make
-          ~tweak:(fun c -> { c with Pompe.Config.block_capacity = 64 })
-          (),
-        (fun n -> leader_total_rate /. float_of_int n),
-        2_000_000 );
-      ( "hotstuff",
-        Protocol.Hotstuff_adapter.make
-          ~tweak:(fun c -> { c with Hotstuff.Smr.block_capacity = 64 })
-          (),
-        (fun n -> leader_total_rate /. float_of_int n),
-        2_000_000 );
-    ]
+(* The saturation setup FIG3 and ABLATE share, one entry per registered
+   protocol: (name, adapter, offered tx/s per node at n, window
+   stretch). Leaderless protocols — lyra, dag and, by default, any newly
+   registered one — get Lyra's fixed client population per node; the
+   leader-based baselines split their saturation load over the nodes,
+   cut 64-tx blocks and need 2 s past the base window. In smoke mode
+   the 0.6 s base window ends before Lyra's ~1 s commit latency (350 ms
+   batch timeout) lands a transaction, hence [window_extra] for the
+   leaderless ones. *)
+let saturation_specs () =
+  let per_node = if !smoke then 600.0 else 2_400.0 in
+  let leader_total = if !smoke then 4_000.0 else 120_000.0 in
+  let leaderless name p = (name, p, (fun _n -> per_node), window_extra name) in
+  let leader name p =
+    (name, p, (fun n -> leader_total /. float_of_int n), 2_000_000)
   in
+  List.map
+    (fun (name, p) ->
+      match name with
+      | "lyra" ->
+          leaderless name
+            (Protocol.Lyra_adapter.make
+               ~tweak:(fun c ->
+                 { c with Lyra.Config.batch_timeout_us = 350_000; max_inflight = 16 })
+               ())
+      | "pompe" ->
+          leader name
+            (Protocol.Pompe_adapter.make
+               ~tweak:(fun c -> { c with Pompe.Config.block_capacity = 64 })
+               ())
+      | "hotstuff" ->
+          leader name
+            (Protocol.Hotstuff_adapter.make
+               ~tweak:(fun c -> { c with Hotstuff.Smr.block_capacity = 64 })
+               ())
+      | _ -> leaderless name p)
+    (Protocol.Registry.all ())
+
+let fig3 () =
+  let specs = saturation_specs () in
   let data =
     List.concat_map
       (fun n ->
@@ -429,9 +441,10 @@ let lambda () =
                ~tweak:(fun c -> { c with Lyra.Config.lambda_us = lambda_ms * 1000 })
                ())
             ~n ~load:(Harness.Scenario.Closed 2)
-            ~duration_us:(scale_dur 3_000_000) () ))
+            ~duration_us:(scale_dur 3_000_000 + window_extra "lyra") () ))
       (sweep [ 1; 2; 5; 10; 20; 50 ])
   in
+  List.iter (fun (_, r) -> check_smoke_commits "lambda" r) runs;
   emit "LAMBDA"
     ~title:
       "LAMBDA  security parameter sweep at n=16 (paper: 5 ms without \
@@ -471,9 +484,10 @@ let batch () =
                ())
             ~n
             ~load:(Harness.Scenario.Open_rate (if !smoke then 800.0 else 4_000.0))
-            ~duration_us:(scale_dur 3_000_000) () ))
+            ~duration_us:(scale_dur 3_000_000 + window_extra "lyra") () ))
       (sweep [ 100; 200; 400; 800; 1600; 3200 ])
   in
+  List.iter (fun (_, r) -> check_smoke_commits "batch" r) runs;
   emit "BATCH" ~title:"BATCH  batch-size sweep at n=16, 4k tx/s per node offered"
     [
       field "n" Metrics.Table.int n;
@@ -497,13 +511,16 @@ let byz () =
   let n = small_n 16 in
   let fmax = Dbft.Quorums.max_faulty n in
   let run (name, mis) =
-    ( name,
+    let r =
       Harness.Scenario.run
         (Protocol.Lyra_adapter.make
            ~byz:(fun i -> if i < fmax then mis else None)
            ())
         ~n ~load:(Harness.Scenario.Closed 2)
-        ~duration_us:(scale_dur 3_000_000) () )
+        ~duration_us:(scale_dur 3_000_000 + window_extra "lyra") ()
+    in
+    check_smoke_commits "byz" r;
+    (name, r)
   in
   emit "BYZ"
     ~title:
@@ -603,14 +620,6 @@ let check_smoke_fairness label (r : Harness.Scenario.result) =
 
 let fairness () =
   let n = 4 in
-  (* Same per-protocol smoke stretch as fig2: the leader-based
-     closed-loop turnarounds only land a measurable commit well past
-     the 0.6 s smoke window. *)
-  let extra = function
-    | "lyra" -> if !smoke then 1_400_000 else 0
-    | "dag" -> if !smoke then 1_400_000 else 0
-    | _ -> if !smoke then 5_400_000 else 3_000_000
-  in
   let market =
     { Workload.Engine.reserve_x = 50_000_000; reserve_y = 50_000_000 }
   in
@@ -638,7 +647,7 @@ let fairness () =
   let runs =
     List.concat_map
       (fun (name, ((module P : Protocol.NODE) as p)) ->
-        let dur = scale_dur 3_000_000 + extra name in
+        let dur = scale_dur 3_000_000 + window_extra name in
         let scenarios =
           [
             ( "honest",
@@ -835,10 +844,6 @@ let workload () =
         };
       ]
   in
-  let extra = function
-    | "lyra" -> if !smoke then 1_400_000 else 0
-    | _ -> if !smoke then 5_400_000 else 3_000_000
-  in
   let n = small_n 7 in
   let results =
     List.map
@@ -846,7 +851,7 @@ let workload () =
         let r =
           Harness.Scenario.run p ~n ~load:(Harness.Scenario.Closed 0)
             ~workload:wl_spec
-            ~duration_us:(scale_dur 3_000_000 + extra name)
+            ~duration_us:(scale_dur 3_000_000 + window_extra name)
             ()
         in
         check_safety "workload" r;
@@ -898,8 +903,10 @@ let workload () =
             col "clients" int (stream (fun s -> s.s_clients));
             col "submitted" int (stream (fun s -> s.s_submitted));
             col "committed" int (stream (fun s -> s.s_committed));
-            col "lat_p50_ms" (num 0) (stream (fun s -> s.s_lat_p50_us /. 1000.));
-            col "lat_p99_ms" (num 0) (stream (fun s -> s.s_lat_p99_us /. 1000.));
+            col "lat_p50_ms" (opt (num 0))
+              (stream (fun s -> Option.map (fun us -> us /. 1000.) s.s_lat_p50_us));
+            col "lat_p99_ms" (opt (num 0))
+              (stream (fun s -> Option.map (fun us -> us /. 1000.) s.s_lat_p99_us));
             col "streaming" bool (stream (fun s -> s.s_streaming));
           ]
         (List.concat_map
@@ -994,12 +1001,16 @@ let faults () =
         in
         let duration_us =
           scale_dur (if String.equal name "pompe" then 8_000_000 else 4_000_000)
+          + window_extra name
         in
         List.map
           (fun (plan_name, plan) ->
-            ( (name, plan_name),
+            let r =
               Harness.Scenario.run ~faults:plan p ~n
-                ~load:(Harness.Scenario.Closed 2) ~duration_us () ))
+                ~load:(Harness.Scenario.Closed 2) ~duration_us ()
+            in
+            check_smoke_commits ("faults " ^ plan_name) r;
+            ((name, plan_name), r))
           (plans ~warmup_us:P.default_warmup_us ~duration_us))
       Protocol.Registry.names
   in
@@ -1128,37 +1139,22 @@ let attack () =
 
 let ablate () =
   let n = small_n 31 in
-  let leader_total_rate = if !smoke then 4_000.0 else 120_000.0 in
-  let specs =
-    [
-      ( Protocol.Lyra_adapter.make
-          ~tweak:(fun c ->
-            { c with Lyra.Config.batch_timeout_us = 350_000; max_inflight = 16 })
-          (),
-        (if !smoke then 600.0 else 2_400.0),
-        scale_dur 3_000_000 );
-      ( Protocol.Pompe_adapter.make
-          ~tweak:(fun c -> { c with Pompe.Config.block_capacity = 64 })
-          (),
-        leader_total_rate /. float_of_int n,
-        scale_dur 5_000_000 );
-      ( Protocol.Hotstuff_adapter.make
-          ~tweak:(fun c -> { c with Hotstuff.Smr.block_capacity = 64 })
-          (),
-        leader_total_rate /. float_of_int n,
-        scale_dur 5_000_000 );
-    ]
-  in
+  let specs = saturation_specs () in
   let runs =
     List.map
       (fun (label, ns_per_byte) ->
         ( label,
           ns_per_byte,
           List.map
-            (fun (p, rate, dur) ->
-              (Harness.Scenario.run p ~n ~ns_per_byte
-                 ~load:(Harness.Scenario.Open_rate rate) ~duration_us:dur ())
-                .throughput_tps)
+            (fun (_, p, rate, extra) ->
+              let r =
+                Harness.Scenario.run p ~n ~ns_per_byte
+                  ~load:(Harness.Scenario.Open_rate (rate n))
+                  ~duration_us:(scale_dur 3_000_000 + extra)
+                  ()
+              in
+              check_smoke_commits "ablate" r;
+              r.throughput_tps)
             specs ))
       (sweep [ ("1 Gb/s", 8); ("200 Mb/s", 40); ("50 Mb/s", 160) ])
   in
@@ -1173,8 +1169,8 @@ let ablate () =
           col "line_rate" str (fun (label, _, _) -> label)
           :: col "ns_per_byte" int (fun (_, ns_per_byte, _) -> ns_per_byte)
           :: List.mapi
-               (fun i ((module P : Protocol.NODE), _, _) ->
-                 col (P.name ^ "_tps") (num 0) (fun (_, _, tps) -> List.nth tps i))
+               (fun i (name, _, _, _) ->
+                 col (name ^ "_tps") (num 0) (fun (_, _, tps) -> List.nth tps i))
                specs)
         runs;
     ]

@@ -393,13 +393,16 @@ let workload_cmd =
         ~load:(Harness.Scenario.Closed 0) ~workload:wl ~duration_us ()
     in
     print_result r;
+    let ms = function
+      | Some us -> Printf.sprintf "%.1fms" (us /. 1e3)
+      | None -> "n/a"
+    in
     List.iter
       (fun (s : Workload.Engine.stream_summary) ->
         Format.printf
-          "  stream %-4s clients=%d submitted=%d committed=%d p50=%.1fms \
-           p99=%.1fms%s@."
-          s.s_name s.s_clients s.s_submitted s.s_committed
-          (s.s_lat_p50_us /. 1e3) (s.s_lat_p99_us /. 1e3)
+          "  stream %-4s clients=%d submitted=%d committed=%d p50=%s p99=%s%s@."
+          s.s_name s.s_clients s.s_submitted s.s_committed (ms s.s_lat_p50_us)
+          (ms s.s_lat_p99_us)
           (if s.s_streaming then " (streaming)" else ""))
       r.workload_streams;
     match r.mev with

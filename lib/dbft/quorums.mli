@@ -17,3 +17,11 @@ val supermajority : int -> int
     bin_values (predicate [in_bin]); if at least [need] senders remain,
     return the sorted union of their values. *)
 val aux_union : need:int -> in_bin:(int -> bool) -> int list list -> int list option
+
+(** [nth_highest a ~len k] is the value at 0-based rank [k] of
+    [a.(0 .. len-1)] sorted in descending order — the (k+1)-th highest,
+    duplicates counted. It reorders that prefix of [a] in place and
+    allocates nothing, so callers pass a scratch copy of the data they
+    keep. Expected O(len). Raises [Invalid_argument] unless
+    [0 <= k < len <= Array.length a]. *)
+val nth_highest : int array -> len:int -> int -> int

@@ -3,6 +3,7 @@ type t = {
   f : int;
   r : int array;  (** locked_j per peer (monotone) *)
   s : int array;  (** min_pending_j per peer *)
+  scratch : int array;  (** working copy for {!quorum_low}'s selection *)
   accepted : (Types.iid, int) Hashtbl.t;
   mutable pending_commit : (int * Types.iid) list;  (** ascending (seq, iid) *)
   mutable committed_value : int;
@@ -22,6 +23,7 @@ let create ~n ~f =
     f;
     r = Array.make n 0;
     s = Array.make n 0;
+    scratch = Array.make n 0;
     accepted = Hashtbl.create 64;
     pending_commit = [];
     committed_value = 0;
@@ -41,14 +43,13 @@ let peer_status t ~peer ~locked ~min_pending =
   t.s.(peer) <- min_pending;
   t.prefix_dirty <- true
 
-(* The (2f+1)-th highest entry of an array: sort descending and take
-   index 2f. With at most f Byzantine peers, at least f+1 of the 2f+1
-   highest are from correct processes, so the result is bounded by a
-   correct process's report. *)
+(* The (2f+1)-th highest entry of an array (descending rank 2f). With at
+   most f Byzantine peers, at least f+1 of the 2f+1 highest are from
+   correct processes, so the result is bounded by a correct process's
+   report. Selected in the scratch copy: no sort, no allocation. *)
 let quorum_low t a =
-  let sorted = Array.copy a in
-  Array.sort (fun x y -> Int.compare y x) sorted;
-  sorted.((2 * t.f) + 1 - 1)
+  Array.blit a 0 t.scratch 0 t.n;
+  Dbft.Quorums.nth_highest t.scratch ~len:t.n (2 * t.f)
 
 (* locked/stable are recomputed lazily: statuses arrive with every
    message, but the prefixes are only needed when a commit is actually

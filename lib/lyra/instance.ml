@@ -33,6 +33,7 @@ type round_state = {
   mutable bin1 : bool;  (** rounds ≥ 2: mirror of bv deliveries *)
   mutable bin0 : bool;
   aux : int list option array;
+  mutable aux_count : int;  (** [Some] slots in [aux] *)
   mutable coord_value : int option;
   mutable coord_sent : bool;
   mutable timer_started : bool;
@@ -46,6 +47,8 @@ type t = {
   iid : Types.iid;
   (* --- VVB state (round 1) --- *)
   mutable proposal : Types.proposal option;
+  mutable digest : string option;
+      (** [proposal_digest] of [proposal], hashed once per proposal *)
   mutable init_seen : bool;
   mutable seq_obs : int option;
   vote1 : (string, vote_bucket) Hashtbl.t;
@@ -75,6 +78,7 @@ let create env iid =
     env;
     iid;
     proposal = None;
+    digest = None;
     init_seen = false;
     seq_obs = None;
     vote1 = Hashtbl.create 4;
@@ -109,7 +113,29 @@ let seq_obs t = t.seq_obs
 
 let halted t = t.halted
 
-let my_digest t = Option.map Types.proposal_digest t.proposal
+(* Every assignment of [t.proposal] goes through here, so the held
+   digest always belongs to the held proposal. A caller that already
+   hashed [p] passes the digest along. *)
+let set_proposal ?digest t p =
+  t.proposal <- Some p;
+  t.digest <- digest
+
+(* [held] is [t.proposal]'s content; hashed on first use only. *)
+let held_digest t held =
+  match t.digest with
+  | Some d -> d
+  | None ->
+      let d = Types.proposal_digest held in
+      t.digest <- Some d;
+      d
+
+(* The digest of an incoming proposal: the held one when [p] is
+   physically the held proposal (the common case — every copy of a
+   broadcast shares one value), a fresh hash otherwise. *)
+let digest_of t p =
+  match t.proposal with
+  | Some held when held == p -> held_digest t held
+  | Some _ | None -> Types.proposal_digest p
 
 (* ------------------------------------------------------------------ *)
 (* Round machinery (Alg. 3).                                           *)
@@ -139,6 +165,7 @@ let rec round_state t r =
           bin1 = false;
           bin0 = false;
           aux = Array.make t.env.n None;
+          aux_count = 0;
           coord_value = None;
           coord_sent = false;
           timer_started = false;
@@ -188,22 +215,26 @@ and try_advance t r =
        | [] -> ());
     (* AUX once the timer expired and something was delivered,
        prioritizing the coordinator's value (lines 40–42). *)
-    let bin = bin_values t r in
-    if (not rs.aux_sent) && rs.timer_fired && bin <> [] then begin
-      rs.aux_sent <- true;
-      let e =
-        match rs.coord_value with
-        | Some c when bin_has t r c -> [ c ]
-        | Some _ | None -> bin
-      in
-      t.env.broadcast (Types.Aux { iid = t.iid; round = r; values = e })
-    end;
-    (* Decision: a quorum of AUX sets all inside bin_values (43–49). *)
-    let auxs = Array.to_list rs.aux |> List.filter_map (fun x -> x) in
+    (if (not rs.aux_sent) && rs.timer_fired then
+       match bin_values t r with
+       | [] -> ()
+       | bin ->
+           rs.aux_sent <- true;
+           let e =
+             match rs.coord_value with
+             | Some c when bin_has t r c -> [ c ]
+             | Some _ | None -> bin
+           in
+           t.env.broadcast (Types.Aux { iid = t.iid; round = r; values = e }));
+    (* Decision: a quorum of AUX sets all inside bin_values (43–49).
+       Fewer than n−f AUX sets can never form one, so the union is not
+       even assembled until that many arrived. *)
+    let need = t.env.n - t.env.f in
     match
-      Dbft.Quorums.aux_union
-        ~need:(t.env.n - t.env.f)
-        ~in_bin:(bin_has t r) auxs
+      if rs.aux_count < need then None
+      else
+        Dbft.Quorums.aux_union ~need ~in_bin:(bin_has t r)
+          (Array.to_list rs.aux |> List.filter_map (fun x -> x))
     with
     | None -> ()
     | Some union ->
@@ -312,9 +343,10 @@ let deliver_one t proof =
   end
 
 let check_quorum_one t =
-  match my_digest t with
+  match t.proposal with
   | None -> ()
-  | Some digest -> (
+  | Some held -> (
+      let digest = held_digest t held in
       match Hashtbl.find_opt t.vote1 digest with
       | Some bucket when bucket.count >= t.env.n - t.env.f && not t.delivered1
         ->
@@ -339,13 +371,13 @@ let on_init t ~src proposal sigma =
           t.seq_obs <- Some s;
           s
     in
-    if t.proposal = None then t.proposal <- Some proposal;
+    if t.proposal = None then set_proposal t proposal;
     let valid =
       t.env.verify_init proposal sigma && t.env.validate proposal ~seq_obs
     in
     if valid && not t.sent_vote1 then begin
       t.sent_vote1 <- true;
-      let digest = Types.proposal_digest proposal in
+      let digest = digest_of t proposal in
       t.voted_digest <- Some digest;
       let share = t.env.make_vote_share ~digest in
       t.env.broadcast
@@ -404,15 +436,17 @@ let on_deliver t ~src:_ proposal proof =
   ensure_started t;
   if Types.iid_equal proposal.Types.batch.Types.iid t.iid && t.env.check_deliver proposal proof
   then begin
-    if t.proposal = None then t.proposal <- Some proposal;
     (* Only the quorum-certified proposal can be delivered with 1; a
        diverging local proposal (equivocating broadcaster) is replaced
        for output purposes — our own vote is already cast and counted
        under the old digest, preserving VVB-Unicity. *)
-    (match my_digest t with
-    | Some d when not (String.equal d (Types.proposal_digest proposal)) ->
-        t.proposal <- Some proposal
-    | _ -> ());
+    (match t.proposal with
+    | None -> set_proposal t proposal
+    | Some held when held == proposal -> ()
+    | Some held ->
+        let incoming = Types.proposal_digest proposal in
+        if not (String.equal (held_digest t held) incoming) then
+          set_proposal ~digest:incoming t proposal);
     deliver_one t proof
   end
 
@@ -422,7 +456,7 @@ let on_est t ~src ~round ~value proposal =
     (round_state t round).activity <- true;
     join_round t round;
     (if value = 1 && t.proposal = None then
-       match proposal with Some p -> t.proposal <- Some p | None -> ());
+       match proposal with Some p -> set_proposal t p | None -> ());
     let rs = round_state t round in
     match rs.bv with
     | Some bv ->
@@ -449,6 +483,7 @@ let on_aux t ~src ~round ~values =
     let rs = round_state t round in
     if rs.aux.(src) = None then begin
       rs.aux.(src) <- Some values;
+      rs.aux_count <- rs.aux_count + 1;
       try_advance t round
     end
   end
@@ -517,7 +552,7 @@ let poke t =
 let force_decide t ~value proposal =
   if t.decided = None then begin
     (match proposal with
-    | Some _ when t.proposal = None -> t.proposal <- proposal
+    | Some p when t.proposal = None -> set_proposal t p
     | _ -> ());
     t.decided <- Some value;
     t.decision_round <- Some t.current;
@@ -527,7 +562,7 @@ let force_decide t ~value proposal =
 
 let debug_state t =
   let rs = round_state t t.current in
-  let aux_n = Array.fold_left (fun a x -> if x <> None then a + 1 else a) 0 rs.aux in
+  let aux_n = rs.aux_count in
   Printf.sprintf
     "round=%d est=%d decided=%s bin1(r1)=%b bin0(r1)=%b v1buckets=%d v0=%d sent1=%b sent0=%b aux(cur)=%d timer=%b auxsent=%b init=%b halted=%b"
     t.current t.est

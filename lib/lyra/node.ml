@@ -85,9 +85,10 @@ type t = {
   mutable started : bool;
   mutable min_pending_dirty : bool;
   mutable min_pending_cache : int;
+  mutable pending_low_cache : int;  (** lowest p_seq of any pending entry *)
   mutable gossip_cache : (int * (Types.iid * int) list * string) option;
   peer_committed : int array;  (** emitted-output counts claimed in statuses *)
-  last_rx : int array;  (** per-peer time of last received message *)
+  isolation : Isolation.t;
   mutable probation_until : int;  (** heightened lag sensitivity window *)
   mutable sync_active : bool;  (** output emission paused, pulling the log *)
   mutable sync_req_at : int;
@@ -180,15 +181,23 @@ let is_byz t m =
 
 let gossip_cap = 64
 
-let min_pending_value t =
+(* Both minima over [pending] are rebuilt in one pass after any change
+   to it (every change sets [min_pending_dirty]). *)
+let refresh_pending_mins t =
   if t.min_pending_dirty then begin
     t.min_pending_dirty <- false;
-    t.min_pending_cache <-
-      List.fold_left
-        (fun acc (_, e) -> if e.kind = Validated then min acc e.p_seq else acc)
-        Types.no_pending
-        (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending)
-  end;
+    t.min_pending_cache <- Types.no_pending;
+    t.pending_low_cache <- max_int;
+    List.iter
+      (fun (_, e) ->
+        if e.kind = Validated then
+          t.min_pending_cache <- min t.min_pending_cache e.p_seq;
+        t.pending_low_cache <- min t.pending_low_cache e.p_seq)
+      (Sim.Det.sorted_bindings ~cmp:Types.iid_compare t.pending)
+  end
+
+let min_pending_value t =
+  refresh_pending_mins t;
   t.min_pending_cache
 
 let rec take k = function
@@ -358,7 +367,12 @@ let on_reveal t ~src iid share =
 (* Commit (Alg. 4: try-commit).                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Only entries at or below the boundary can block or expire, so when
+   the lowest pending entry lies above it there is nothing to walk. *)
 let pending_blocks_commit t boundary =
+  refresh_pending_mins t;
+  if t.pending_low_cache > boundary then false
+  else
   let now = Sim.Engine.now t.engine in
   let expiry = 2 * Config.l_us t.config in
   let blocking = ref false in
@@ -1155,14 +1169,7 @@ let absorb_status t ~src (status : Types.status) =
    so the window misses nothing. On healthy runs every peer heartbeats
    every 25 ms and the quorum check never fails. *)
 let isolation_check t ~src ~now =
-  t.last_rx.(src) <- now;
-  let heard = ref 0 in
-  Array.iteri
-    (fun i at ->
-      if Int.equal i t.id || now - at <= t.config.isolation_gap_us then
-        incr heard)
-    t.last_rx;
-  if !heard < Config.quorum t.config then
+  if Isolation.observe t.isolation ~src ~now then
     t.probation_until <- now + t.config.isolation_gap_us
 
 let on_message t ~src (msg : Types.msg) =
@@ -1304,9 +1311,13 @@ let create config net ~id ?keys ?dir ?(clock_offset_us = 0)
       started = false;
       min_pending_dirty = true;
       min_pending_cache = Types.no_pending;
+      pending_low_cache = max_int;
       gossip_cache = None;
       peer_committed = Array.make config.Config.n 0;
-      last_rx = Array.make config.Config.n 0;
+      isolation =
+        Isolation.create ~n:config.Config.n ~self:id
+          ~quorum:(Config.quorum config)
+          ~gap_us:config.Config.isolation_gap_us;
       probation_until = 0;
       sync_active = false;
       sync_req_at = 0;

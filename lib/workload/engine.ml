@@ -349,11 +349,11 @@ type stream_summary = {
   s_clients : int;
   s_submitted : int;
   s_committed : int;
-  s_lat_mean_us : float;
-  s_lat_p50_us : float;
-  s_lat_p95_us : float;
-  s_lat_p99_us : float;
-  s_lat_max_us : float;
+  s_lat_mean_us : float option;
+  s_lat_p50_us : float option;
+  s_lat_p95_us : float option;
+  s_lat_p99_us : float option;
+  s_lat_max_us : float option;
   s_streaming : bool;
 }
 
@@ -361,7 +361,13 @@ let summaries t =
   Array.to_list
     (Array.map
        (fun st ->
-         let mean, p50, p95, p99, mx = Metrics.Recorder.summary st.latency in
+         let mean, p50, p95, p99, mx =
+           if Metrics.Recorder.is_empty st.latency then
+             (None, None, None, None, None)
+           else
+             let mean, p50, p95, p99, mx = Metrics.Recorder.summary st.latency in
+             (Some mean, Some p50, Some p95, Some p99, Some mx)
+         in
          {
            s_name = st.s_spec.name;
            s_clients = st.s_spec.clients;

@@ -107,11 +107,13 @@ type stream_summary = {
   s_clients : int;
   s_submitted : int;
   s_committed : int;
-  s_lat_mean_us : float;
-  s_lat_p50_us : float;
-  s_lat_p95_us : float;
-  s_lat_p99_us : float;
-  s_lat_max_us : float;
+  s_lat_mean_us : float option;
+      (** the latency statistics are [None] when the stream committed
+          nothing: an empty sample has no mean or percentile *)
+  s_lat_p50_us : float option;
+  s_lat_p95_us : float option;
+  s_lat_p99_us : float option;
+  s_lat_max_us : float option;
   s_streaming : bool;  (** latency recorder crossed its cap *)
 }
 

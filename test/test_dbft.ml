@@ -150,6 +150,31 @@ let prop_agreement_random =
             | v :: rest -> List.for_all (Int.equal v) rest
             | [] -> false)))
 
+(* The allocation-free quorum selection against the sort it replaced:
+   for random arrays with many duplicates, the 2f-th entry of the
+   descending sort — and, for good measure, every other rank. *)
+let prop_nth_highest_matches_sort =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"nth_highest = descending sort, n in [4, 100]"
+       ~count:300
+       QCheck.(
+         pair (int_range 4 100) (pair (int_range 1 50) (int_bound 1_000_000)))
+       (fun (n, (spread, seed)) ->
+         let rng = Random.State.make [| seed |] in
+         let a = Array.init n (fun _ -> Random.State.int rng spread) in
+         let sorted = Array.copy a in
+         Array.sort (fun x y -> Int.compare y x) sorted;
+         let scratch = Array.make n 0 in
+         let rank k =
+           Array.blit a 0 scratch 0 n;
+           Dbft.Quorums.nth_highest scratch ~len:n k
+         in
+         let quorum_rank = 2 * Dbft.Quorums.max_faulty n in
+         Int.equal (rank quorum_rank) sorted.(quorum_rank)
+         && List.for_all
+              (fun k -> Int.equal (rank k) sorted.(k))
+              (List.init n Fun.id)))
+
 let suite =
   [
     Alcotest.test_case "quorum arithmetic" `Quick test_quorums;
@@ -162,4 +187,5 @@ let suite =
     Alcotest.test_case "mixed inputs agree" `Quick test_mixed_inputs_agree;
     Alcotest.test_case "crash tolerance" `Quick test_with_crashes;
     prop_agreement_random;
+    prop_nth_highest_matches_sort;
   ]

@@ -209,6 +209,48 @@ let test_misbehavior_labels () =
   Alcotest.(check string) "flood" "flood(4/s)"
     (Lyra.Misbehavior.to_string (Lyra.Misbehavior.Flood { batches_per_sec = 4 }))
 
+(* --- Isolation check (Node's probation window) --- *)
+
+(* The O(n) scan the incremental check replaced: count the processes
+   heard within the gap (self always) on every message. *)
+let scan_isolated ~self ~quorum ~gap_us last_rx ~src ~now =
+  last_rx.(src) <- now;
+  let heard = ref 0 in
+  Array.iteri
+    (fun i at -> if Int.equal i self || now - at <= gap_us then incr heard)
+    last_rx;
+  !heard < quorum
+
+(* Random message sequences in segments: during a segment only the
+   first [speakers] peers send, so the others fall silent for as long
+   as the segment lasts — including long silences from single peers.
+   Both checks must open the same probation windows. *)
+let prop_isolation_horizon_matches_scan =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"isolation horizon = O(n) scan" ~count:300
+       QCheck.(triple (int_range 1 40) (int_range 1 5_000) (int_bound 1_000_000))
+       (fun (n, gap_us, seed) ->
+         let rng = Random.State.make [| seed |] in
+         let self = Random.State.int rng n in
+         let quorum = Dbft.Quorums.quorum n in
+         let iso = Lyra.Isolation.create ~n ~self ~quorum ~gap_us in
+         let last_rx = Array.make n 0 in
+         let now = ref 0 and fast = ref 0 and slow = ref 0 and ok = ref true in
+         for _segment = 1 to 20 do
+           let speakers = 1 + Random.State.int rng n in
+           for _ = 1 to Random.State.int rng 60 do
+             now := !now + Random.State.int rng (gap_us / 2 + 2);
+             if Random.State.int rng 20 = 0 then now := !now + (3 * gap_us);
+             let src = Random.State.int rng speakers in
+             if Lyra.Isolation.observe iso ~src ~now:!now then
+               fast := !now + gap_us;
+             if scan_isolated ~self ~quorum ~gap_us last_rx ~src ~now:!now then
+               slow := !now + gap_us;
+             if not (Int.equal !fast !slow) then ok := false
+           done
+         done;
+         !ok))
+
 let suite =
   [
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
@@ -229,4 +271,5 @@ let suite =
     Alcotest.test_case "commit version" `Quick test_commit_state_version_bumps;
     Alcotest.test_case "commit locked monotone" `Quick test_commit_state_locked_monotone;
     Alcotest.test_case "misbehavior labels" `Quick test_misbehavior_labels;
+    prop_isolation_horizon_matches_scan;
   ]

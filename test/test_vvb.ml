@@ -217,6 +217,59 @@ let test_deliver_adopts_certified_proposal () =
   Alcotest.(check bool) "rebroadcast" true
     (List.exists (function Lyra.Types.Deliver _ -> true | _ -> false) w.sent)
 
+let held inst =
+  match Lyra.Instance.proposal inst with
+  | Some p -> p
+  | None -> Alcotest.fail "no proposal held"
+
+let test_deliver_replaces_diverging_proposal () =
+  (* An equivocating broadcaster: our INIT carried [pa], the quorum
+     certified [pb]. The certified proposal replaces the held one, and
+     the DELIVER we relay carries it. *)
+  let w = make_world () in
+  let inst = Lyra.Instance.create (make_env w) iid in
+  let pa = proposal ~tag:"a" () and pb = proposal ~tag:"b" () in
+  Lyra.Instance.on_init inst ~src:1 pa None;
+  Alcotest.(check bool) "holds the INIT's proposal" true (held inst == pa);
+  Lyra.Instance.on_deliver inst ~src:2 pb None;
+  Alcotest.(check bool) "replaced by the certified proposal" true
+    (held inst == pb);
+  Alcotest.(check (list string)) "relayed DELIVER carries it"
+    [ Lyra.Types.proposal_digest pb ]
+    (List.filter_map
+       (function
+         | Lyra.Types.Deliver { proposal; _ } ->
+             Some (Lyra.Types.proposal_digest proposal)
+         | _ -> None)
+       w.sent)
+
+let test_deliver_of_held_proposal_keeps_it () =
+  (* The held proposal delivered back — physically the same value, or
+     an equal copy under the same digest — leaves it in place. *)
+  let w = make_world () in
+  let inst = Lyra.Instance.create (make_env w) iid in
+  let p = proposal () in
+  Lyra.Instance.on_init inst ~src:1 p None;
+  Lyra.Instance.on_deliver inst ~src:2 p None;
+  Alcotest.(check bool) "same value kept" true (held inst == p);
+  Lyra.Instance.on_deliver inst ~src:3 (proposal ()) None;
+  Alcotest.(check bool) "equal copy does not replace it" true (held inst == p)
+
+let test_init_vote_uses_init_digest () =
+  (* A round-2 EST can hand us a proposal before the INIT arrives; the
+     VOTE(1) must still endorse the INIT's own proposal. *)
+  let w = make_world () in
+  let inst = Lyra.Instance.create (make_env w) iid in
+  let pa = proposal ~tag:"a" () and pb = proposal ~tag:"b" () in
+  Lyra.Instance.on_est inst ~src:2 ~round:2 ~value:1 (Some pa);
+  Alcotest.(check bool) "EST's proposal held" true (held inst == pa);
+  Lyra.Instance.on_init inst ~src:1 pb None;
+  match sent_votes w with
+  | [ Lyra.Types.Vote_one { digest; _ } ] ->
+      Alcotest.(check string) "INIT's digest" (Lyra.Types.proposal_digest pb)
+        digest
+  | _ -> Alcotest.fail "expected exactly one VOTE(1)"
+
 let test_expire_forces_zero_vote () =
   (* A process that learned of the instance only via votes eventually
      votes 0 after E = 2Δ (Alg. 1 lines 23–24 / VVB-Obligation). *)
@@ -270,6 +323,11 @@ let suite =
     Alcotest.test_case "vote-0 relay + delivery" `Quick test_vote_zero_relay_and_delivery;
     Alcotest.test_case "round-2 rejection" `Quick test_round2_rejection_decides_zero;
     Alcotest.test_case "deliver adoption" `Quick test_deliver_adopts_certified_proposal;
+    Alcotest.test_case "deliver replaces diverging proposal" `Quick
+      test_deliver_replaces_diverging_proposal;
+    Alcotest.test_case "deliver of held proposal" `Quick
+      test_deliver_of_held_proposal_keeps_it;
+    Alcotest.test_case "INIT vote digest" `Quick test_init_vote_uses_init_digest;
     Alcotest.test_case "expire -> VOTE(0)" `Quick test_expire_forces_zero_vote;
     Alcotest.test_case "observe hook" `Quick test_observe_hook_sees_all_votes;
     Alcotest.test_case "duplicate votes" `Quick test_duplicate_votes_ignored;

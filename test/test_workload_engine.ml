@@ -53,7 +53,39 @@ let test_constant_rate () =
       Alcotest.(check int) "summary submitted" n s.s_submitted;
       Alcotest.(check int) "summary committed" n s.s_committed;
       (* echo delay is the latency, exactly *)
-      Alcotest.(check (float 1.0)) "latency = echo delay" 2_000.0 s.s_lat_p50_us
+      Alcotest.(check (option (float 1.0)))
+        "latency = echo delay" (Some 2_000.0) s.s_lat_p50_us
+  | l -> Alcotest.fail (Printf.sprintf "%d summaries" (List.length l))
+
+(* A stream whose transactions never commit reports no latency at all,
+   not a 0 ms one: an empty sample has no statistic. *)
+let test_uncommitted_stream_has_no_latency () =
+  let engine = Sim.Engine.create () in
+  let next = ref 0 in
+  let submit ~node:_ ~payload:_ =
+    incr next;
+    "t" ^ string_of_int !next
+  in
+  let w =
+    Workload.Engine.create engine
+      (Workload.Engine.spec [ stream "lost" ])
+      ~nodes:3 ~submit ()
+  in
+  Workload.Engine.start w;
+  Sim.Engine.run engine ~until:2_000_000;
+  match Workload.Engine.summaries w with
+  | [ s ] ->
+      Alcotest.(check bool) "submitted" true (s.s_submitted > 0);
+      Alcotest.(check int) "committed" 0 s.s_committed;
+      List.iter
+        (fun (label, v) -> Alcotest.(check (option (float 0.))) label None v)
+        [
+          ("mean", s.s_lat_mean_us);
+          ("p50", s.s_lat_p50_us);
+          ("p95", s.s_lat_p95_us);
+          ("p99", s.s_lat_p99_us);
+          ("max", s.s_lat_max_us);
+        ]
   | l -> Alcotest.fail (Printf.sprintf "%d summaries" (List.length l))
 
 let test_flash_crowd_shape () =
@@ -336,6 +368,8 @@ let test_scenario_integration () =
 let suite =
   [
     Alcotest.test_case "constant rate" `Quick test_constant_rate;
+    Alcotest.test_case "uncommitted stream has no latency" `Quick
+      test_uncommitted_stream_has_no_latency;
     Alcotest.test_case "flash crowd" `Quick test_flash_crowd_shape;
     Alcotest.test_case "diurnal bounded" `Quick test_diurnal_bounded;
     Alcotest.test_case "million clients streaming" `Quick
